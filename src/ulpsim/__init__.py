@@ -3,7 +3,7 @@ reproducible Monte Carlo BER harness."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelMatrix, UnifiedChannel, UserPool, augment, draw_user_pool, select_users
+from .channel import ChannelMatrix, UserPool, draw_user_pool, select_users
 from .harness import (
     BerRecord,
     BerTable,
@@ -30,9 +30,7 @@ __all__ = [
     "Precoder",
     "SchemeMode",
     "SimulationConfig",
-    "UnifiedChannel",
     "UserPool",
-    "augment",
     "ber_gap",
     "build_conventional",
     "build_unified",

@@ -1,4 +1,4 @@
-"""Rayleigh-fading user pools, norm-based user selection, channel augmentation."""
+"""Rayleigh-fading user pools and norm-based user selection."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import row_norms
 from .randomness import complex_normal
 
 
@@ -20,10 +19,6 @@ class UserPool:
     @property
     def n_users(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -40,14 +35,6 @@ class ChannelMatrix:
     @property
     def n_tx(self) -> int:
         return self.H.shape[1]
-
-
-@dataclass(frozen=True)
-class UnifiedChannel:
-    """Channel stacked over u*I; full column rank whenever u > 0."""
-
-    H_u: np.ndarray  # (n_active + n_tx, n_tx) complex
-    u: float
 
 
 def draw_user_pool(rng: np.random.Generator, n_users: int, n_tx: int) -> UserPool:
@@ -69,7 +56,7 @@ def select_users(pool: UserPool, n_active: int) -> ChannelMatrix:
         raise ConfigurationError(
             f"cannot select {n_active} users from a pool of {pool.n_users}"
         )
-    norms = row_norms(pool.rows)
+    norms = np.linalg.norm(pool.rows, axis=1)
     # Stable sort on -norm: equal norms keep ascending index order.
     ranked = np.argsort(-norms, kind="stable")[:n_active]
     chosen = np.sort(ranked)
@@ -78,10 +65,3 @@ def select_users(pool: UserPool, n_active: int) -> ChannelMatrix:
         selected_user_indices=tuple(int(i) for i in chosen),
     )
 
-
-def augment(channel: ChannelMatrix, u: float) -> UnifiedChannel:
-    """Stack the channel on top of u*I (the unified channel)."""
-    if u < 0:
-        raise ConfigurationError(f"augmentation weight must be nonnegative, got {u}")
-    eye = np.eye(channel.n_tx, dtype=np.complex128)
-    return UnifiedChannel(H_u=np.vstack([channel.H, u * eye]), u=float(u))

@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigurationError
 from .harness import BerRecord, BerTable, SimulationConfig, run_point, run_sweep
@@ -26,6 +28,9 @@ GAP_PAIRS = (
     ("LZFP_u0", "LMMSEP_u0", "LZFP", "LMMSEP"),
     ("ULZFP", "ULMMSEP", "ULZFP", "ULMMSEP"),
 )
+
+RESULT_HEADER = ["snr_db", "scheme", "u", "m", "bit_errors", "bits_total",
+                 "ber", "std_err", "low_confidence"]
 
 _INT_KEYS = {"tx_antennas", "pool_users", "active_users", "realizations",
              "frames", "symbols_per_frame", "seed"}
@@ -96,30 +101,36 @@ def sci(x: float) -> str:
     return f"{mant:.2f}e{exp}"
 
 
+def result_row(r: BerRecord) -> list:
+    return [r.snr_db, r.scheme_label, r.u, r.m, r.bit_errors, r.bits_total,
+            sci(r.ber), sci(r.standard_error), int(r.low_confidence)]
+
+
 def emit_table(table: BerTable, path: str | Path, gaps_path: str | Path) -> None:
     """Write the result CSV and the pairwise-gap CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["snr_db", "scheme", "u", "m", "bit_errors", "bits_total",
-                         "ber", "std_err", "low_confidence"])
-        for r in table.records:
-            writer.writerow([r.snr_db, r.scheme_label, r.u, r.m, r.bit_errors,
-                             r.bits_total, sci(r.ber), sci(r.standard_error),
-                             int(r.low_confidence)])
+        writer.writerow(RESULT_HEADER)
+        writer.writerows(result_row(r) for r in table.records)
     emit_gaps(table, gaps_path)
+
+
+def write_gaps(fh, records, snrs) -> None:
+    """Gap CSV over GAP_PAIRS at each SNR; pairs with a missing record are skipped."""
+    by_key = {(r.scheme_label, r.snr_db): r for r in records}
+    writer = csv.writer(fh)
+    writer.writerow(["snr_db", "scheme_a", "scheme_b", "gap"])
+    for snr_db in snrs:
+        for name_a, name_b, rec_a, rec_b in GAP_PAIRS:
+            a = by_key.get((rec_a, snr_db))
+            b = by_key.get((rec_b, snr_db))
+            if a is not None and b is not None:
+                writer.writerow([snr_db, name_a, name_b, sci(a.ber - b.ber)])
 
 
 def emit_gaps(table: BerTable, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "scheme_a", "scheme_b", "gap"])
-        for snr_db in table.config.snr_db:
-            for name_a, name_b, rec_a, rec_b in GAP_PAIRS:
-                try:
-                    gap = table.lookup(rec_a, snr_db).ber - table.lookup(rec_b, snr_db).ber
-                except KeyError:
-                    continue
-                writer.writerow([snr_db, name_a, name_b, sci(gap)])
+        write_gaps(fh, table.records, table.config.snr_db)
 
 
 def emit_plot_data(table: BerTable, path: str | Path) -> None:
@@ -167,7 +178,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--schemes", help="comma-separated scheme labels")
     parser.add_argument("--realizations", type=int, help="Monte Carlo channel realizations")
     parser.add_argument("--frames", type=int, help="frames per realization")
-    parser.add_argument("--symbols", type=int, help="symbol vectors per frame")
+    parser.add_argument("--symbols", dest="symbols_per_frame", type=int,
+                        help="symbol vectors per frame")
     parser.add_argument("--workers", type=int, default=1, help="parallel workers")
     parser.add_argument("--snr-offset-db", type=float, help="global SNR calibration offset")
     parser.add_argument("--out", default=".", help="output directory")
@@ -175,20 +187,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> SimulationConfig:
     values = read_config_file(args.config) if args.config else {}
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.snr is not None:
-        values["snr_db"] = tuple(float(v) for v in args.snr.split(",") if v.strip())
+    for key in ("seed", "realizations", "frames", "symbols_per_frame", "snr_offset_db"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    try:
+        if args.snr is not None:
+            values["snr_db"] = tuple(float(v) for v in args.snr.split(",") if v.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"--snr: {exc}") from exc
     if args.schemes is not None:
         values["schemes"] = tuple(v.strip() for v in args.schemes.split(",") if v.strip())
-    if args.realizations is not None:
-        values["realizations"] = args.realizations
-    if args.frames is not None:
-        values["frames"] = args.frames
-    if args.symbols is not None:
-        values["symbols_per_frame"] = args.symbols
-    if args.snr_offset_db is not None:
-        values["snr_offset_db"] = args.snr_offset_db
     return build_config(values)
 
 
@@ -208,29 +216,14 @@ def _cmd_point(args) -> int:
     config = _config_from_args(args)
     scheme = SchemeMode.from_label(args.scheme, u=args.u, m=args.m)
     record = run_point(config, scheme, args.point_snr, workers=args.workers)
-    print("snr_db,scheme,u,m,bit_errors,bits_total,ber,std_err,low_confidence")
-    print(",".join(str(v) for v in [
-        record.snr_db, record.scheme_label, record.u, record.m, record.bit_errors,
-        record.bits_total, sci(record.ber), sci(record.standard_error),
-        int(record.low_confidence)]))
+    print(",".join(RESULT_HEADER))
+    print(",".join(str(v) for v in result_row(record)))
     return 0
 
 
 def _cmd_gaps(args) -> int:
     records = read_table_csv(args.table)
-    by_key = {(r.scheme_label, r.snr_db): r for r in records}
-    snrs = sorted({r.snr_db for r in records})
-    rows = []
-    for snr_db in snrs:
-        for name_a, name_b, rec_a, rec_b in GAP_PAIRS:
-            a = by_key.get((rec_a, snr_db))
-            b = by_key.get((rec_b, snr_db))
-            if a is None or b is None:
-                continue
-            rows.append([snr_db, name_a, name_b, sci(a.ber - b.ber)])
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["snr_db", "scheme_a", "scheme_b", "gap"])
-    writer.writerows(rows)
+    write_gaps(sys.stdout, records, sorted({r.snr_db for r in records}))
     return 0
 
 
@@ -265,7 +258,10 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite precoder ends the run with exit 2 below; numpy's
+        # per-operation warnings would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ class SingularMatrixError(ArithmeticError):
     """A linear system is singular (or not positive definite) within tolerance."""
 
 
-class DegeneratePrecoderError(ValueError):
+class DegeneratePrecoderError(ArithmeticError):
     """Raw precoding matrix has zero power and cannot be normalized."""
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class SimulationConfig:
             )
         if not self.snr_db:
             raise ConfigurationError("snr_db list is empty")
+        keys = [_snr_stream_key(s, self.snr_offset_db) for s in self.snr_db]
+        if len(set(keys)) != len(keys):
+            raise ConfigurationError(
+                f"snr_db values must differ by at least 1 milli-dB, got {self.snr_db}")
         if not self.schemes:
             raise ConfigurationError("schemes list is empty")
 
@@ -130,6 +134,18 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
+def _snr_stream_key(snr_db: float, offset_db: float) -> int:
+    """snr_key of a finite SNR whose noise variance is finite (0 is the noiseless limit)."""
+    try:
+        if (np.isfinite(snr_db + offset_db)
+                and snr_db_to_noise_variance(snr_db + offset_db) < np.inf):
+            return snr_key(snr_db)
+    except OverflowError:
+        pass
+    raise ConfigurationError(
+        f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
+
+
 def _realization_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                         snr_db: float, index: int) -> int:
     """Bit errors for one channel realization (all frames)."""
@@ -167,8 +183,11 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
               workers: int = 1) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts."""
     config.validate()
+    _snr_stream_key(snr_db, config.snr_offset_db)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
-    if workers <= 1:
+    if workers == 1:
         errors = _point_chunk((config, scheme, snr_db, 0, n))
     else:
         bounds = np.linspace(0, n, workers + 1, dtype=int)
@@ -197,7 +216,3 @@ def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
 def ber_gap(table: BerTable, scheme_a: str, scheme_b: str, snr_db: float) -> float:
     """BER(a) - BER(b) at the given SNR."""
     return table.lookup(scheme_a, snr_db).ber - table.lookup(scheme_b, snr_db).ber
-
-
-def with_offset(config: SimulationConfig, snr_offset_db: float) -> SimulationConfig:
-    return replace(config, snr_offset_db=snr_offset_db)

@@ -1,9 +1,7 @@
-"""Dense complex linear algebra helpers.
+"""Regularized Hermitian solves: Cholesky with a pivoted-LU fallback.
 
-All routines operate on 2-D complex128 numpy arrays and are pure functions.
-Hermitian solves go through a Cholesky factorization with a pivoted-LU
-fallback, and the pseudo-inverse is computed through the Gram-matrix solve
-(no SVD): the simulator only ever feeds it full-rank matrices.
+Callers pass 2-D complex128 arrays built by the simulator itself; values
+from outside are checked once, where the configuration enters.
 """
 
 from __future__ import annotations
@@ -19,52 +17,6 @@ from .errors import ShapeError, SingularMatrixError
 PIVOT_RTOL = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex matrix, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(as_matrix(a).T)
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_matrix(a)))
-
-
-def row_norms(a) -> np.ndarray:
-    """Euclidean norm of each row."""
-    return np.linalg.norm(as_matrix(a), axis=1)
-
-
-def add_scaled_identity(a, s) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"add_scaled_identity requires a square matrix, got {a.shape}")
-    return a + s * np.eye(a.shape[0], dtype=np.complex128)
-
-
 def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     """Solve (A + ridge*I) X = B for Hermitian PSD A.
 
@@ -72,15 +24,15 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     pivot degenerates (the exactly-singular ridge=0 corner). Raises
     SingularMatrixError, naming the offending pivot, when both fail.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"solve_hermitian requires square A, got {a.shape}")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"A is {a.shape} but B is {b.shape}")
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    m = add_scaled_identity(a, ridge)
+    m = a + ridge * np.eye(a.shape[0], dtype=np.complex128)
     scale = np.linalg.norm(m) + ridge
     try:
         c, lower = scipy.linalg.cho_factor(m, check_finite=False)
@@ -100,16 +52,3 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
             f"vs scale {scale:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose inverse of a full-column-rank or full-row-rank matrix.
-
-    Tall (or square) inputs use (A^H A)^{-1} A^H; wide inputs use
-    A^H (A A^H)^{-1}. Rank deficiency surfaces as SingularMatrixError.
-    """
-    a = as_matrix(a)
-    ah = hermitian(a)
-    if a.shape[0] >= a.shape[1]:
-        return solve_hermitian(ah @ a, ah)
-    return hermitian(solve_hermitian(a @ ah, a))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, augment
+from .channel import ChannelMatrix
 from .errors import ConfigurationError, DegeneratePrecoderError
-from .linalg import hermitian, solve_hermitian
+from .linalg import solve_hermitian
 
 LABELS = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 
@@ -28,8 +28,10 @@ class SchemeMode:
     m: float
 
     def __post_init__(self):
-        if self.u < 0 or self.m < 0:
-            raise ConfigurationError(f"scheme parameters must be nonnegative: u={self.u}, m={self.m}")
+        # Written so that NaN fails too.
+        if not (0 <= self.u < np.inf and 0 <= self.m < np.inf):
+            raise ConfigurationError(
+                f"scheme parameters must be finite and nonnegative: u={self.u}, m={self.m}")
 
     @property
     def label(self) -> str:
@@ -77,7 +79,7 @@ class Precoder:
 
 
 def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float]:
-    """Scale so that trace(F F^H) = n_tx; returns (F, beta)."""
+    """Scale so that the total power sum |F_ij|^2 = n_tx; returns (F, beta)."""
     power = float(np.sum(np.abs(f_raw) ** 2))
     if power <= 0.0 or not np.isfinite(power):
         raise DegeneratePrecoderError("raw precoder has zero (or non-finite) power")
@@ -91,10 +93,10 @@ def build_conventional(channel: ChannelMatrix, m: float, sigma2: float) -> Preco
     m = 0 is plain zero-forcing; m > 0 regularizes with m*sigma2.
     """
     h = channel.H
-    gram = h @ hermitian(h)
+    gram = h @ h.conj().T
     # X = (H H^H + ridge I)^{-1} H, so F_raw = X^H = H^H (H H^H + ridge I)^{-1}.
     x = solve_hermitian(gram, h, ridge=m * sigma2)
-    f, beta = power_scale(hermitian(x), channel.n_tx)
+    f, beta = power_scale(x.conj().T, channel.n_tx)
     return Precoder(F=f, beta=beta, mode=SchemeMode(0.0, m), sigma2=sigma2)
 
 
@@ -114,17 +116,12 @@ def build_unified(
     """
     if u == 0:
         return build_conventional(channel, m, sigma2)
-    unified = augment(channel, u)
-    hu = unified.H_u
-    huh = hermitian(hu)
-    f_raw = solve_hermitian(huh @ hu, huh, ridge=m * sigma2)
     n_tx = channel.n_tx
+    hu = np.vstack([channel.H, u * np.eye(n_tx, dtype=np.complex128)])
+    huh = hu.conj().T
+    f_raw = solve_hermitian(huh @ hu, huh, ridge=m * sigma2)
     if normalize_data_block_only:
-        data = f_raw[:, : channel.n_active]
-        power = float(np.sum(np.abs(data) ** 2))
-        if power <= 0.0:
-            raise DegeneratePrecoderError("raw precoder has zero power in its data block")
-        beta = float(np.sqrt(n_tx / power))
+        _, beta = power_scale(f_raw[:, : channel.n_active], n_tx)
         f = beta * f_raw
     else:
         f, beta = power_scale(f_raw, n_tx)
@@ -137,10 +134,8 @@ def build(
     sigma2: float,
     normalize_data_block_only: bool = False,
 ) -> Precoder:
-    """Dispatch on the mode's augmentation weight."""
-    if mode.u > 0:
-        return build_unified(channel, mode.u, mode.m, sigma2, normalize_data_block_only)
-    return build_conventional(channel, mode.m, sigma2)
+    """Precoder for a scheme mode; u = 0 is the conventional inversion."""
+    return build_unified(channel, mode.u, mode.m, sigma2, normalize_data_block_only)
 
 
 def effective_gain(channel: ChannelMatrix, precoder: Precoder) -> np.ndarray:

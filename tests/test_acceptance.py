@@ -7,13 +7,14 @@ the published table's SNR convention is not recoverable from the text.
 
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ulpsim import cli
 from ulpsim.channel import draw_user_pool, select_users
-from ulpsim.harness import SimulationConfig, run_point, run_sweep, with_offset
+from ulpsim.harness import SimulationConfig, run_point, run_sweep
 from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import SchemeMode, build, build_conventional, build_unified
 from ulpsim.randomness import derived_stream
@@ -78,7 +79,7 @@ def fit_snr_offset():
 
     def score(offset):
         matched, loss = 0, 0.0
-        cfg = with_offset(pilot, offset)
+        cfg = replace(pilot, snr_offset_db=offset)
         for label in LABELS:
             scheme = SchemeMode.from_label(label)
             for snr in SNRS:
@@ -100,7 +101,7 @@ def fit_snr_offset():
 @pytest.fixture(scope="module")
 def calibrated():
     offset = fit_snr_offset()
-    table = run_sweep(with_offset(SimulationConfig(), offset), workers=WORKERS)
+    table = run_sweep(replace(SimulationConfig(), snr_offset_db=offset), workers=WORKERS)
     return offset, table
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ulpsim.channel import augment, draw_user_pool, select_users, ChannelMatrix, UserPool
+from ulpsim.channel import draw_user_pool, select_users, UserPool
 from ulpsim.errors import ConfigurationError
 from ulpsim.randomness import derived_stream
 
@@ -77,36 +77,3 @@ class TestSelectUsers:
         with pytest.raises(ConfigurationError):
             select_users(pool, 5)
 
-
-class TestAugment:
-    def test_zero_weight(self):
-        ch = select_users(draw_user_pool(derived_stream(5), 8, 4), 4)
-        uni = augment(ch, 0.0)
-        assert np.array_equal(uni.H_u[4:], np.zeros((4, 4)))
-        assert np.linalg.matrix_rank(uni.H_u) == np.linalg.matrix_rank(ch.H)
-
-    def test_identity_stack(self):
-        ch = ChannelMatrix(H=np.eye(2, dtype=complex))
-        uni = augment(ch, 1.0)
-        assert uni.H_u.shape == (4, 2)
-        assert np.array_equal(uni.H_u, np.vstack([np.eye(2), np.eye(2)]))
-
-    def test_full_column_rank_for_positive_u(self):
-        # Rank oracle: Gram determinant strictly positive.
-        ch = ChannelMatrix(H=np.zeros((3, 3), dtype=complex))
-        uni = augment(ch, 0.5)
-        gram = uni.H_u.conj().T @ uni.H_u
-        assert np.linalg.det(gram).real > 0
-
-    def test_gram_identity(self):
-        ch = select_users(draw_user_pool(derived_stream(6), 20, 8), 8)
-        u = 0.7
-        uni = augment(ch, u)
-        gram = uni.H_u.conj().T @ uni.H_u
-        expected = ch.H.conj().T @ ch.H + u**2 * np.eye(8)
-        assert np.max(np.abs(gram - expected)) < 1e-12
-
-    def test_negative_u_rejected(self):
-        ch = ChannelMatrix(H=np.eye(2, dtype=complex))
-        with pytest.raises(ConfigurationError):
-            augment(ch, -0.1)

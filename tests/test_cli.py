@@ -147,6 +147,33 @@ class TestMain:
         bad.write_text("bogus_key = 1\n")
         assert cli.main(["sweep", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["point", "--scheme", "ULZFP", "--u", "nan", "--point-snr", "20"],
+        ["point", "--scheme", "ULMMSEP", "--m", "inf", "--point-snr", "20"],
+        ["point", "--scheme", "LZFP", "--point-snr", "nan"],
+        ["point", "--scheme", "LZFP", "--point-snr", "inf"],
+        ["point", "--scheme", "LZFP", "--point-snr", "1e306"],
+        ["point", "--scheme", "LZFP", "--point-snr", "-4000"],
+        ["point", "--scheme", "LZFP", "--point-snr", "20", "--workers", "0"],
+        ["sweep", "--snr", "20,20"],
+        ["sweep", "--snr", "20,abc"],
+        ["sweep", "--snr-offset-db", "nan"],
+        ["sweep", "--workers", "-1"],
+    ])
+    def test_bad_input_exits_1_with_one_line(self, flags, tmp_path, capsys):
+        assert cli.main([*flags, *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x" / "results.csv").exists()
+
+    def test_overflowing_u_exits_2_with_one_line(self, capsys):
+        flags = ["point", "--scheme", "ULZFP", "--u", "1e200", "--point-snr", "20"]
+        assert cli.main([*flags, *TINY_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_numerical_error_exit_code(self, monkeypatch, tmp_path):
         from ulpsim.errors import SingularMatrixError
 

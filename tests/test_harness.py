@@ -43,6 +43,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(realizations=0).validate()
 
+    @pytest.mark.parametrize("snr_db", [(20.0, 20.0), (20.0, 20.0004)])
+    def test_snrs_sharing_a_stream_key(self, snr_db):
+        with pytest.raises(ConfigurationError, match="milli-dB"):
+            SimulationConfig(snr_db=snr_db).validate()
+
+    @pytest.mark.parametrize("snr_db,offset", [
+        (np.nan, 0.0), (np.inf, 0.0), (1e306, 0.0), (-4000.0, 0.0), (14.0, np.nan),
+        (14.0, np.inf),
+    ])
+    def test_snr_needs_finite_noise_variance(self, snr_db, offset):
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            SimulationConfig(snr_db=(snr_db,), snr_offset_db=offset).validate()
+
     def test_bits_per_point(self):
         assert SimulationConfig().bits_per_point == 1000 * 10 * 100 * 8 * 2
 
@@ -70,6 +83,15 @@ class TestRunPoint:
         ]
         assert sum(partials) == record.bit_errors
         assert record.bit_errors <= record.bits_total
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, workers=workers)
+
+    def test_point_snr_checked(self):
+        with pytest.raises(ConfigurationError, match="noise variance"):
+            run_point(TINY, SchemeMode.from_label("LZFP"), float("nan"))
 
     def test_record_metadata(self):
         record = run_point(TINY, SchemeMode.from_label("LZFP"), 6.0)

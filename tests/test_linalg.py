@@ -9,52 +9,6 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-class TestHermitian:
-    def test_scalar_conjugate(self):
-        assert linalg.hermitian([[2 + 3j]])[0, 0] == 2 - 3j
-
-    def test_identity_fixed_point(self):
-        eye = np.eye(4, dtype=complex)
-        assert np.array_equal(linalg.hermitian(eye), eye)
-
-    def test_involution(self):
-        rng = np.random.default_rng(1)
-        a = crandn(rng, 3, 4)
-        assert np.array_equal(linalg.hermitian(linalg.hermitian(a)), a)
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(2)
-        a = crandn(rng, 4, 4)
-        b = crandn(rng, 4, 4)
-        lhs = linalg.hermitian(linalg.matmul(a, b))
-        rhs = linalg.matmul(linalg.hermitian(b), linalg.hermitian(a))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(3)
-        a = crandn(rng, 2, 3)
-        assert np.allclose(linalg.matmul(a, np.eye(3)), a)
-
-    def test_hand_product(self):
-        a = np.array([[1, 1j], [0, 1]], dtype=complex)
-        b = np.array([[1], [1]], dtype=complex)
-        expected = np.array([[1 + 1j], [1]])
-        assert np.allclose(linalg.matmul(a, b), expected, atol=1e-15)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(4)
-        a, b, c = (crandn(rng, 4, 4) for _ in range(3))
-        lhs = linalg.matmul(linalg.matmul(a, b), c)
-        rhs = linalg.matmul(a, linalg.matmul(b, c))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-
 class TestSolveHermitian:
     def test_identity_system(self):
         x = linalg.solve_hermitian(np.eye(2), np.array([[1.0], [2.0]]))
@@ -89,6 +43,10 @@ class TestSolveHermitian:
         with pytest.raises(SingularMatrixError, match="pivot"):
             linalg.solve_hermitian(np.zeros((3, 3)), np.eye(3))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            linalg.solve_hermitian(np.ones((2, 3)), np.eye(2))
+
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             linalg.solve_hermitian(np.eye(2), np.eye(2), ridge=-1.0)
@@ -99,63 +57,3 @@ class TestSolveHermitian:
         x = linalg.solve_hermitian(a, np.eye(2))
         assert np.allclose(a @ x, np.eye(2), atol=1e-12)
 
-
-class TestScalars:
-    def test_trace_identity(self):
-        assert linalg.trace(np.eye(3)) == 3
-
-    def test_trace_non_square(self):
-        with pytest.raises(ShapeError):
-            linalg.trace(np.ones((2, 3)))
-
-    def test_frobenius_identity(self):
-        assert linalg.frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
-
-    def test_row_norms_345(self):
-        assert np.allclose(linalg.row_norms([[3.0, 4.0], [0.0, 0.0]]), [5.0, 0.0])
-
-    def test_add_scaled_identity(self):
-        out = linalg.add_scaled_identity(np.zeros((2, 2)), 2.5)
-        assert np.allclose(out, 2.5 * np.eye(2))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            linalg.frobenius_norm([[np.nan, 0.0]])
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        assert np.allclose(linalg.pseudo_inverse(np.eye(4)), np.eye(4))
-
-    def test_scalar(self):
-        assert np.allclose(linalg.pseudo_inverse([[2.0]]), [[0.5]])
-
-    def test_moore_penrose_identities_tall(self):
-        rng = np.random.default_rng(7)
-        a = crandn(rng, 6, 3)
-        p = linalg.pseudo_inverse(a)
-        assert np.max(np.abs(a @ p @ a - a)) < 1e-10
-        assert np.max(np.abs(p @ a @ p - p)) < 1e-10
-        assert np.max(np.abs((a @ p).conj().T - a @ p)) < 1e-10
-        assert np.max(np.abs((p @ a).conj().T - p @ a)) < 1e-10
-
-    def test_moore_penrose_identities_wide(self):
-        rng = np.random.default_rng(8)
-        a = crandn(rng, 3, 6)
-        p = linalg.pseudo_inverse(a)
-        assert np.max(np.abs(a @ p @ a - a)) < 1e-10
-        assert np.max(np.abs(p @ a @ p - p)) < 1e-10
-
-    def test_ridge_limit(self):
-        rng = np.random.default_rng(9)
-        a = crandn(rng, 6, 3)
-        ah = a.conj().T
-        p = linalg.pseudo_inverse(a)
-        eps = 1e-8
-        approx = np.linalg.solve(ah @ a + eps * np.eye(3), ah)
-        assert np.linalg.norm(approx - p) < 1e-6
-
-    def test_rank_deficient_raises(self):
-        a = np.ones((4, 3), dtype=complex)  # rank 1 in both senses
-        with pytest.raises(SingularMatrixError):
-            linalg.pseudo_inverse(a)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ulpsim.channel import ChannelMatrix, augment, draw_user_pool, select_users
+from ulpsim.channel import ChannelMatrix, draw_user_pool, select_users
 from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 from ulpsim.precoder import (
     SchemeMode,
@@ -33,6 +33,11 @@ class TestSchemeMode:
     def test_negative_parameters(self):
         with pytest.raises(ConfigurationError):
             SchemeMode(-1.0, 0.0)
+
+    @pytest.mark.parametrize("u,m", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+    def test_non_finite_parameters(self, u, m):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SchemeMode(u, m)
 
 
 class TestPowerScale:
@@ -124,14 +129,14 @@ class TestBuildUnified:
             ch = random_channel(seed + 500)
             m, sigma2, u = 1.0, 0.25, 0.8
             p = build_unified(ch, u=u, m=m, sigma2=sigma2)
-            hu = augment(ch, u).H_u
+            hu = np.vstack([ch.H, u * np.eye(8)])
             row_form = hu.conj().T @ np.linalg.inv(hu @ hu.conj().T + m * sigma2 * np.eye(16))
             assert np.max(np.abs(p.F / p.beta - row_form)) < 1e-10
 
     def test_moore_penrose_at_zero_regularizer(self):
         ch = random_channel(77)
         p = build_unified(ch, u=1.0, m=0.0, sigma2=0.0)
-        hu = augment(ch, 1.0).H_u
+        hu = np.vstack([ch.H, np.eye(8)])
         pinv = p.F / p.beta
         assert np.max(np.abs(hu @ pinv @ hu - hu)) < 1e-10
         assert np.max(np.abs(pinv @ hu @ pinv - pinv)) < 1e-10
