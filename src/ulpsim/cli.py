@@ -162,12 +162,19 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts."""
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(BerRecord(
-                scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
-                snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
-                bits_total=int(row["bits_total"]),
-            ))
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                records.append(BerRecord(
+                    scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
+                    snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
+                    bits_total=int(row["bits_total"]),
+                ))
+            except KeyError as exc:
+                raise ConfigurationError(
+                    f"{path}:{reader.line_num}: missing column {exc}") from exc
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
     return records
 
 
@@ -227,8 +234,15 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ulpsim",
         description="Multi-user MIMO precoding BER simulator (ZF/MMSE/unified)",
     )
@@ -255,9 +269,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         # A non-finite precoder ends the run with exit 2 below; numpy's
         # per-operation warnings would only repeat that on stderr.
         with np.errstate(all="ignore"):

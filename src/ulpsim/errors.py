@@ -6,7 +6,13 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A linear system is singular (or not positive definite) within tolerance."""
+    """A linear system is singular (or not positive definite) within tolerance.
+
+    `index` is the failing system's position in the flattened stack that was
+    solved (0 for a single system), or None where no solver set it.
+    """
+
+    index: int | None = None
 
 
 class DegeneratePrecoderError(ArithmeticError):

@@ -20,10 +20,14 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import derived_stream, snr_key
+from .randomness import box_muller, derived_stream, snr_key
 
 DEFAULT_SCHEMES = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 LOW_CONFIDENCE_ERRORS = 10
+# Entries per block array of the realization engine (see _range_errors). Small
+# enough that a block's arrays stay in cache, large enough that the per-call
+# overhead of each numpy stage is shared by many realizations or frames.
+BLOCK_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,9 @@ class SimulationConfig:
                 f"snr_db values must differ by at least 1 milli-dB, got {self.snr_db}")
         if not self.schemes:
             raise ConfigurationError("schemes list is empty")
+        labels = [s.label for s in self.schemes]
+        if len(set(labels)) != len(labels):
+            raise ConfigurationError(f"scheme labels must not repeat, got {labels}")
 
     @property
     def bits_per_point(self) -> int:
@@ -146,37 +153,64 @@ def _snr_stream_key(snr_db: float, offset_db: float) -> int:
         f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
-def _realization_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
-                        snr_db: float, index: int) -> int:
-    """Bit errors for one channel realization (all frames)."""
-    rng = derived_stream(config.seed, snr_key(snr_db), index)
-    pool = chan.draw_user_pool(rng, config.pool_users, config.tx_antennas)
-    channel = chan.select_users(pool, config.active_users)
+def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
+                  snr_db: float, start: int, stop: int) -> int:
+    """Bit errors of realizations [start, stop), evaluated a block at a time.
+
+    Whole realizations share a block while each of their complex arrays (the
+    pool, or all frames' symbols) fits in BLOCK_ENTRIES entries; a
+    realization that does not fit is a block of its own, its frames taken in
+    groups that fit. Draw phase: each realization of the block draws from its
+    own stream in the fixed per-realization order (the pool's two uniform
+    arrays, then per frame the bits, u1 and u2), so counts do not depend on
+    the blocking. Compute phase: everything else runs once per block on
+    stacked arrays.
+    """
+    k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
+                              config.tx_antennas, config.pool_users)
+    group = min(config.frames, max(1, BLOCK_ENTRIES // (k * n_sym)))
+    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, config.frames * k * n_sym))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
-    try:
-        prec = precoder.build(channel, scheme, sigma2=n0,
-                              normalize_data_block_only=config.normalize_data_block_only)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            f"precoder build failed at realization {index} "
-            f"(scheme {scheme.label}, {snr_db} dB): {exc}"
-        ) from exc
-    k = config.active_users
-    n_sym = config.symbols_per_frame
+    key = snr_key(snr_db)
+    pool_u = np.empty((2, per_block, n_pool, n_tx))
+    bits = np.empty((per_block, group, 2 * k * n_sym), dtype=np.int64)
+    noise_u = np.empty((2, per_block, group, k, n_sym))
     errors = 0
-    for _ in range(config.frames):
-        bits = rng.integers(0, 2, size=2 * k * n_sym)
-        x = modem.qpsk_modulate(bits).reshape(n_sym, k).T  # (k, n_sym)
-        z = modem.draw_awgn(rng, (k, n_sym), n0)
-        est = modem.transmit_receive(channel, prec, x, z)
-        decided = modem.qpsk_demodulate(est.T.reshape(-1))
-        errors += int(np.count_nonzero(decided != bits))
+    for first in range(start, stop, per_block):
+        rngs = [derived_stream(config.seed, key, r)
+                for r in range(first, min(first + per_block, stop))]
+        n_real = len(rngs)
+        for i, rng in enumerate(rngs):
+            rng.random(out=pool_u[0, i])
+            rng.random(out=pool_u[1, i])
+        pool = chan.UserPool(rows=box_muller(pool_u[0, :n_real], pool_u[1, :n_real], 1.0))
+        channel = chan.select_users(pool, k)
+        try:
+            prec = precoder.build(channel, scheme, n0, config.normalize_data_block_only)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"precoder build failed at realization {first + exc.index} "
+                f"(scheme {scheme.label}, {snr_db} dB): {exc}"
+            ) from exc
+        for done in range(0, config.frames, group):
+            n_frames = min(group, config.frames - done)
+            for i, rng in enumerate(rngs):
+                for j in range(n_frames):
+                    bits[i, j] = rng.integers(0, 2, size=2 * k * n_sym)
+                    rng.random(out=noise_u[0, i, j])
+                    rng.random(out=noise_u[1, i, j])
+            block_bits = bits[:n_real, :n_frames]
+            # One realization's frames side by side as (k, n_frames * n_sym)
+            # columns. A frame's bits hold its symbols in (symbol, user) order
+            # and its noise is drawn as (user, symbol).
+            uses = n_frames * n_sym
+            x = modem.qpsk_modulate(block_bits).reshape(n_real, uses, k).swapaxes(-1, -2)
+            z = (box_muller(noise_u[0, :n_real, :n_frames], noise_u[1, :n_real, :n_frames], n0)
+                 .swapaxes(1, 2).reshape(n_real, k, uses))
+            est = modem.transmit_receive(channel, prec, x, z)
+            decided = modem.qpsk_demodulate(est.swapaxes(-1, -2))
+            errors += int(np.count_nonzero(decided.reshape(block_bits.shape) != block_bits))
     return errors
-
-
-def _point_chunk(args) -> int:
-    config, scheme, snr_db, start, stop = args
-    return sum(_realization_errors(config, scheme, snr_db, r) for r in range(start, stop))
 
 
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
@@ -188,13 +222,13 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
     if workers == 1:
-        errors = _point_chunk((config, scheme, snr_db, 0, n))
+        errors = _range_errors(config, scheme, snr_db, 0, n)
     else:
         bounds = np.linspace(0, n, workers + 1, dtype=int)
-        tasks = [(config, scheme, snr_db, int(a), int(b))
-                 for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = sum(pool.map(_point_chunk, tasks))
+            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b))
+                      for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+            errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
         scheme_label=scheme.label, u=scheme.u, m=scheme.m, snr_db=float(snr_db),
         bit_errors=errors, bits_total=config.bits_per_point,

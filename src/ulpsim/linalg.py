@@ -1,7 +1,8 @@
 """Regularized Hermitian solves: Cholesky with a pivoted-LU fallback.
 
-Callers pass 2-D complex128 arrays built by the simulator itself; values
-from outside are checked once, where the configuration enters.
+Callers pass complex128 arrays built by the simulator itself; values from
+outside are checked once, where the configuration enters. A leading batch
+axis stacks independent systems; a single 2-D system is the batch-of-one case.
 """
 
 from __future__ import annotations
@@ -18,37 +19,59 @@ PIVOT_RTOL = 1e-12
 
 
 def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
-    """Solve (A + ridge*I) X = B for Hermitian PSD A.
+    """Solve (A + ridge*I) X = B for Hermitian PSD A, for each system of a stack.
 
-    Tries a Cholesky factorization first; falls back to pivoted LU when a
-    pivot degenerates (the exactly-singular ridge=0 corner). Raises
-    SingularMatrixError, naming the offending pivot, when both fail.
+    A is (..., n, n) and B is (..., n, k). One batched Cholesky factorization
+    tests every matrix; each matrix whose smallest pivot degenerates (the
+    exactly-singular ridge=0 corner) falls back, alone, to pivoted LU. Raises
+    SingularMatrixError, naming the offending pivot and setting `index` to the
+    matrix's position in the flattened stack, when both fail.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"solve_hermitian requires square A, got {a.shape}")
-    if a.shape[0] != b.shape[0]:
+    if b.shape[:-1] != a.shape[:-1]:
         raise ShapeError(f"A is {a.shape} but B is {b.shape}")
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    m = a + ridge * np.eye(a.shape[0], dtype=np.complex128)
-    scale = np.linalg.norm(m) + ridge
+    n = a.shape[-1]
+    m = (a + ridge * np.eye(n, dtype=np.complex128)).reshape(-1, n, n)
+    rhs = b.reshape(len(m), n, b.shape[-1])
+    floor = PIVOT_RTOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
+    accepted = _cholesky_accepts(m, floor)
+    x = np.empty_like(rhs)
+    x[accepted] = np.linalg.solve(m[accepted], rhs[accepted])
+    for i in np.flatnonzero(~accepted):
+        x[i] = _lu_solve(m[i], rhs[i], floor[i], i)
+    return x.reshape(b.shape)
+
+
+def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack m: does Cholesky succeed with min pivot^2 above floor?"""
     try:
-        c, lower = scipy.linalg.cho_factor(m, check_finite=False)
-        if float(np.min(np.abs(np.diag(c))) ** 2) > PIVOT_RTOL * max(scale, 1e-300):
-            return scipy.linalg.cho_solve((c, lower), b, check_finite=False)
+        c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        pass
-    # Pivoted LU fallback; reject if any pivot is negligible relative to ‖A‖.
+        # The stack holds a matrix that is not positive definite: test each alone.
+        if len(m) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_cholesky_accepts(m[i:i + 1], floor[i:i + 1])
+                               for i in range(len(m))])
+    return np.min(np.abs(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1) ** 2 > floor
+
+
+def _lu_solve(m: np.ndarray, b: np.ndarray, floor: float, index: int) -> np.ndarray:
+    """Pivoted LU solve of one system; rejects it if a pivot is negligible relative to ‖A‖."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
     pivots = np.abs(np.diag(lu))
     smallest = float(pivots.min()) if pivots.size else 0.0
-    if smallest <= PIVOT_RTOL * max(scale, 1e-300):
-        raise SingularMatrixError(
+    if smallest <= floor:
+        error = SingularMatrixError(
             f"matrix is singular within tolerance: smallest pivot {smallest:.3e} "
-            f"vs scale {scale:.3e}"
+            f"vs scale {floor / PIVOT_RTOL:.3e}"
         )
+        error.index = int(index)
+        raise error
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

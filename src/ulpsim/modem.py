@@ -1,4 +1,8 @@
-"""QPSK mapping, AWGN, and the precoded transmit/receive chain."""
+"""QPSK mapping, AWGN, and the precoded transmit/receive chain.
+
+Bit and symbol blocks may carry leading batch axes (realizations, frames);
+the mapping acts along the last axis.
+"""
 
 from __future__ import annotations
 
@@ -6,35 +10,36 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .errors import ShapeError
-from .precoder import Precoder
+from .precoder import Precoder, per_matrix
 from .randomness import complex_normal
 
 _SQRT2 = np.sqrt(2.0)
 
 
 def qpsk_modulate(bits) -> np.ndarray:
-    """Gray-map bit pairs to unit-energy QPSK symbols.
+    """Gray-map consecutive bit pairs along the last axis to unit-energy QPSK symbols.
 
     Pair (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2); b0 is the in-phase
     bit, so (0,0) lands on (+1+1j)/sqrt(2).
     """
     b = np.asarray(bits)
-    if b.ndim != 1 or b.size % 2 != 0:
-        raise ShapeError(f"bit block must be 1-D with even length, got shape {b.shape}")
-    b0 = b[0::2].astype(np.float64)
-    b1 = b[1::2].astype(np.float64)
+    if b.ndim < 1 or b.shape[-1] % 2 != 0:
+        raise ShapeError(f"bit block must have an even-length last axis, got shape {b.shape}")
+    b0 = b[..., 0::2].astype(np.float64)
+    b1 = b[..., 1::2].astype(np.float64)
     return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _SQRT2
 
 
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance decisions: sign of real/imaginary part per bit.
 
-    Exact zero decides bit 0 (the positive half-plane).
+    Each symbol along the last axis becomes a bit pair; exact zero decides
+    bit 0 (the positive half-plane).
     """
-    s = np.asarray(symbols, dtype=np.complex128).ravel()
-    bits = np.empty(2 * s.size, dtype=np.int64)
-    bits[0::2] = s.real < 0
-    bits[1::2] = s.imag < 0
+    s = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
+    bits = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.int64)
+    bits[..., 0::2] = s.real < 0
+    bits[..., 1::2] = s.imag < 0
     return bits
 
 
@@ -48,18 +53,22 @@ def transmit_receive(
 ) -> np.ndarray:
     """Run y = H F_data x + z and undo the power scaling at the receiver.
 
-    symbols may be a vector (one channel use) or an (n_active, n_uses)
-    matrix; noise must match its shape.
+    For a single precoder, symbols may be a vector (one channel use) or an
+    (n_active, n_uses) matrix. For a stack of precoders they are
+    (..., n_active, n_uses), one matrix per precoder, where the columns may
+    span several frames. Noise must match the symbols' shape.
     """
     x = np.asarray(symbols, dtype=np.complex128)
     z = np.asarray(noise, dtype=np.complex128)
     f_data = precoder.data_block()
-    if x.shape[0] != f_data.shape[1]:
+    streams = x.shape[0] if x.ndim == 1 else x.shape[-2]
+    if streams != f_data.shape[-1]:
         raise ShapeError(
-            f"symbol vector has {x.shape[0]} streams but precoder expects {f_data.shape[1]}"
+            f"symbol vector has {streams} streams but precoder expects {f_data.shape[-1]}"
         )
     if z.shape != x.shape:
         raise ShapeError(f"noise shape {z.shape} does not match symbols {x.shape}")
     # Gain control applied termwise so the noise contribution is exactly
     # additive: est(x, z) == est(x, 0) + z/beta.
-    return (channel.H @ (f_data @ x)) / precoder.beta + z / precoder.beta
+    beta = per_matrix(precoder.beta)
+    return (channel.H @ (f_data @ x)) / beta + z / beta

@@ -5,6 +5,10 @@ The unified precoder is computed through the column-space identity
 (H_u^H H_u + m*sigma2*I)^{-1} H_u^H, which stays well defined at m = 0
 (where the row-space expression is not invertible for u > 0) and equals the
 Moore-Penrose pseudo-inverse of the augmented channel there.
+
+Every function takes a channel with leading batch axes, one realization per
+entry, and builds one precoder per matrix with its own beta; a single
+realization is the batch-of-one case without them.
 """
 
 from __future__ import annotations
@@ -56,35 +60,42 @@ class SchemeMode:
 
 @dataclass(frozen=True)
 class Precoder:
-    """Power-normalized precoding matrix with its scaling constant.
+    """Power-normalized precoding matrices with their scaling constants.
 
-    F has n_tx rows; unified precoders (u > 0) carry n_active + n_tx columns
+    F is (..., n_tx, cols) and beta is (...,), one per matrix (a scalar for a
+    single precoder). Unified precoders (u > 0) carry n_active + n_tx columns
     of which only the first n_active ever multiply data symbols.
     """
 
     F: np.ndarray
-    beta: float
+    beta: float | np.ndarray
     mode: SchemeMode
     sigma2: float
 
     @property
     def n_tx(self) -> int:
-        return self.F.shape[0]
+        return self.F.shape[-2]
 
     def data_block(self) -> np.ndarray:
         """Columns that multiply the symbol vector (all of F when u = 0)."""
         if self.mode.u > 0:
-            return self.F[:, : self.F.shape[1] - self.n_tx]
+            return self.F[..., : self.F.shape[-1] - self.n_tx]
         return self.F
 
 
-def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float]:
-    """Scale so that the total power sum |F_ij|^2 = n_tx; returns (F, beta)."""
-    power = float(np.sum(np.abs(f_raw) ** 2))
-    if power <= 0.0 or not np.isfinite(power):
+def per_matrix(beta):
+    """beta shaped to scale each matrix of a stack; a single beta stays a scalar."""
+    beta = np.asarray(beta)
+    return beta[..., None, None] if beta.ndim else beta
+
+
+def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float | np.ndarray]:
+    """Scale each matrix so that its total power sum |F_ij|^2 = n_tx; returns (F, beta)."""
+    power = np.sum(np.abs(f_raw) ** 2, axis=(-2, -1))
+    if not np.all((power > 0.0) & np.isfinite(power)):
         raise DegeneratePrecoderError("raw precoder has zero (or non-finite) power")
-    beta = float(np.sqrt(n_tx / power))
-    return beta * f_raw, beta
+    beta = np.sqrt(n_tx / power)
+    return per_matrix(beta) * f_raw, beta
 
 
 def build_conventional(channel: ChannelMatrix, m: float, sigma2: float) -> Precoder:
@@ -93,10 +104,10 @@ def build_conventional(channel: ChannelMatrix, m: float, sigma2: float) -> Preco
     m = 0 is plain zero-forcing; m > 0 regularizes with m*sigma2.
     """
     h = channel.H
-    gram = h @ h.conj().T
+    gram = h @ h.conj().swapaxes(-1, -2)
     # X = (H H^H + ridge I)^{-1} H, so F_raw = X^H = H^H (H H^H + ridge I)^{-1}.
     x = solve_hermitian(gram, h, ridge=m * sigma2)
-    f, beta = power_scale(x.conj().T, channel.n_tx)
+    f, beta = power_scale(x.conj().swapaxes(-1, -2), channel.n_tx)
     return Precoder(F=f, beta=beta, mode=SchemeMode(0.0, m), sigma2=sigma2)
 
 
@@ -116,13 +127,16 @@ def build_unified(
     """
     if u == 0:
         return build_conventional(channel, m, sigma2)
+    h = channel.H
     n_tx = channel.n_tx
-    hu = np.vstack([channel.H, u * np.eye(n_tx, dtype=np.complex128)])
-    huh = hu.conj().T
+    scaled_eye = np.broadcast_to(u * np.eye(n_tx, dtype=np.complex128),
+                                 h.shape[:-2] + (n_tx, n_tx))
+    hu = np.concatenate([h, scaled_eye], axis=-2)
+    huh = hu.conj().swapaxes(-1, -2)
     f_raw = solve_hermitian(huh @ hu, huh, ridge=m * sigma2)
     if normalize_data_block_only:
-        _, beta = power_scale(f_raw[:, : channel.n_active], n_tx)
-        f = beta * f_raw
+        _, beta = power_scale(f_raw[..., : channel.n_active], n_tx)
+        f = per_matrix(beta) * f_raw
     else:
         f, beta = power_scale(f_raw, n_tx)
     return Precoder(F=f, beta=beta, mode=SchemeMode(u, m), sigma2=sigma2)
@@ -141,4 +155,4 @@ def build(
 def effective_gain(channel: ChannelMatrix, precoder: Precoder) -> np.ndarray:
     """beta^{-1} H F_data: identity for exact zero-forcing, otherwise the
     residual-interference map seen at the receivers after gain control."""
-    return (channel.H @ precoder.data_block()) / precoder.beta
+    return (channel.H @ precoder.data_block()) / per_matrix(precoder.beta)

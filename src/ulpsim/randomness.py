@@ -25,10 +25,14 @@ def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarr
     if variance < 0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     u1 = rng.random(shape)
-    u2 = rng.random(shape)
+    return box_muller(u1, rng.random(shape), variance)
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
+    """CN(0, variance) samples from two same-shape arrays of uniforms in [0, 1)."""
     if variance == 0.0:
-        return np.zeros(shape, dtype=np.complex128)
-    # Box-Muller: radius from u1 (log of 1-u1 avoids log(0)), phase from u2.
+        return np.zeros(u1.shape, dtype=np.complex128)
+    # Radius from u1 (log of 1-u1 avoids log(0)), phase from u2.
     r = np.sqrt(-variance * np.log1p(-u1))
     return r * np.exp(2j * np.pi * u2)
 

@@ -42,26 +42,26 @@ class TestSelectUsers:
     def test_select_all_preserves_order(self):
         pool = draw_user_pool(derived_stream(3), 5, 4)
         ch = select_users(pool, 5)
-        assert ch.selected_user_indices == (0, 1, 2, 3, 4)
         assert np.array_equal(ch.H, pool.rows)
 
     def test_forced_ordering(self):
         rows = np.array([[5.0], [1.0], [3.0]], dtype=complex)
         ch = select_users(UserPool(rows=rows), 2)
-        assert ch.selected_user_indices == (0, 2)
+        assert np.array_equal(ch.H, rows[[0, 2]])
 
     def test_threshold_property(self):
         pool = draw_user_pool(derived_stream(11), 20, 8)
         ch = select_users(pool, 8)
         norms = np.linalg.norm(pool.rows, axis=1)
-        chosen = set(ch.selected_user_indices)
+        chosen = [i for i, row in enumerate(pool.rows) if any(np.array_equal(row, h) for h in ch.H)]
         rest = [i for i in range(20) if i not in chosen]
+        assert len(chosen) == 8
         assert min(norms[i] for i in chosen) >= max(norms[i] for i in rest)
 
     def test_tie_break_lowest_index(self):
         rows = np.array([[1.0], [2.0], [2.0], [1.0]], dtype=complex)
         ch = select_users(UserPool(rows=rows), 3)
-        assert ch.selected_user_indices == (0, 1, 2)
+        assert np.array_equal(ch.H, rows[:3])
 
     def test_permutation_stability(self):
         pool = draw_user_pool(derived_stream(13), 20, 8)

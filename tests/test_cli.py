@@ -159,6 +159,10 @@ class TestMain:
         ["sweep", "--snr", "20,abc"],
         ["sweep", "--snr-offset-db", "nan"],
         ["sweep", "--workers", "-1"],
+        ["sweep", "--schemes", "LZFP,LMMSEP,LZFP"],
+        ["sweep", "--realizations", "x"],
+        ["sweep", "--no-such-flag"],
+        ["point", "--point-snr", "20"],
     ])
     def test_bad_input_exits_1_with_one_line(self, flags, tmp_path, capsys):
         assert cli.main([*flags, *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 1
@@ -167,6 +171,39 @@ class TestMain:
         assert captured.err.startswith("configuration error: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x" / "results.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([flag])
+        assert exit_info.value.code == 0
+        assert "ulpsim" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("u", None, "missing column 'u'"),
+        ("bit_errors", "x", "invalid literal"),
+    ])
+    def test_malformed_table_exits_1_naming_file_and_row(self, column, value, message,
+                                                         tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["sweep", *TINY_FLAGS, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        fields = [f for f in rows[0] if value is not None or f != column]
+        if value is not None:
+            rows[2][column] = value
+        table = tmp_path / "table.csv"
+        with open(table, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fields, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert cli.main(["gaps", "--table", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = f"{table}:{2 if value is None else 4}: {message}"
+        assert captured.err.startswith(f"configuration error: {line}")
+        assert captured.err.count("\n") == 1
 
     def test_overflowing_u_exits_2_with_one_line(self, capsys):
         flags = ["point", "--scheme", "ULZFP", "--u", "1e200", "--point-snr", "20"]

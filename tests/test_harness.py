@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ulpsim.errors import ConfigurationError
+from ulpsim import harness
+from ulpsim.errors import ConfigurationError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
     SimulationConfig,
-    _realization_errors,
+    _range_errors,
     ber_gap,
     run_point,
     run_sweep,
@@ -56,6 +57,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="noise variance"):
             SimulationConfig(snr_db=(snr_db,), snr_offset_db=offset).validate()
 
+    def test_repeated_scheme_label_rejected(self):
+        # Two ULZFP schemes with different u would still share one label.
+        schemes = (SchemeMode.from_label("LZFP"), SchemeMode(1.0, 0.0), SchemeMode(2.0, 0.0))
+        with pytest.raises(ConfigurationError, match="repeat"):
+            SimulationConfig(schemes=schemes).validate()
+
     def test_bits_per_point(self):
         assert SimulationConfig().bits_per_point == 1000 * 10 * 100 * 8 * 2
 
@@ -75,14 +82,31 @@ class TestRunPoint:
         assert snr_db_to_noise_variance(4000.0) == 0.0
         assert record.bit_errors == 0
 
-    def test_error_counts_are_sums_of_realization_counts(self):
-        scheme = SchemeMode.from_label("ULZFP")
-        record = run_point(TINY, scheme, 8.0)
-        partials = [
-            _realization_errors(TINY, scheme, 8.0, r) for r in range(TINY.realizations)
-        ]
-        assert sum(partials) == record.bit_errors
-        assert record.bit_errors <= record.bits_total
+    # TINY's realizations carry 160 pool entries and 2 frames of 320 bits:
+    # 1 and 400 split every realization's frames, 2048 gives blocks of 3
+    # realizations and 10**6 one block of all 6.
+    @pytest.mark.parametrize("label", ["LZFP", "ULMMSEP"])
+    @pytest.mark.parametrize("block_entries", [1, 400, 2048, 10**6])
+    def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
+        scheme = SchemeMode.from_label(label)
+        whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+        parts = [(0, 1), (1, 5), (5, 6)]
+        assert sum(_range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
+        assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
+        assert 0 < whole <= TINY.bits_per_point
+
+    def test_singular_build_names_its_realization(self, monkeypatch):
+        select = harness.chan.select_users
+
+        def zero_third_channel(pool, n_active):
+            channel = select(pool, n_active)
+            channel.H[2] = 0.0
+            return channel
+
+        monkeypatch.setattr(harness.chan, "select_users", zero_third_channel)
+        with pytest.raises(SingularMatrixError, match="realization 3 "):
+            _range_errors(TINY, SchemeMode.from_label("LZFP"), 8.0, 1, 6)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):

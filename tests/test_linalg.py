@@ -57,3 +57,33 @@ class TestSolveHermitian:
         x = linalg.solve_hermitian(a, np.eye(2))
         assert np.allclose(a @ x, np.eye(2), atol=1e-12)
 
+
+
+class TestSolveHermitianStack:
+    def test_matches_per_matrix_solves(self):
+        rng = np.random.default_rng(7)
+        g = crandn(rng, 2, 3, 8, 8)
+        a = g @ g.conj().swapaxes(-1, -2)
+        b = crandn(rng, 2, 3, 8, 16)
+        for ridge in (0.0, 0.3):
+            x = linalg.solve_hermitian(a, b, ridge)
+            assert x.shape == b.shape
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(x[i, j], linalg.solve_hermitian(a[i, j], b[i, j], ridge))
+
+    def test_indefinite_member_falls_back_alone(self):
+        # Cholesky fails for the stack; each matrix is then tested alone.
+        a = np.array([[[2.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+        x = linalg.solve_hermitian(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert np.allclose(a @ x, np.eye(2), atol=1e-12)
+
+    def test_singular_member_raises_with_its_index(self):
+        a = np.stack([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        with pytest.raises(SingularMatrixError, match="pivot") as info:
+            linalg.solve_hermitian(a, np.ones((4, 3, 1)))
+        assert info.value.index == 2
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            linalg.solve_hermitian(np.ones((2, 3, 3)), np.ones((3, 3, 1)))
