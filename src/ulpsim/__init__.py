@@ -3,7 +3,7 @@ reproducible Monte Carlo BER harness."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelMatrix, UserPool, draw_user_pool, select_users
+from .channel import draw_user_pool, select_users
 from .harness import (
     BerRecord,
     BerTable,
@@ -26,11 +26,9 @@ from .precoder import (
 __all__ = [
     "BerRecord",
     "BerTable",
-    "ChannelMatrix",
     "Precoder",
     "SchemeMode",
     "SimulationConfig",
-    "UserPool",
     "ber_gap",
     "build_conventional",
     "build_unified",

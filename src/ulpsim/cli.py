@@ -159,23 +159,32 @@ def emit_run_log(table: BerTable, path: str | Path) -> None:
 
 
 def read_table_csv(path: str | Path) -> list[BerRecord]:
-    """Reconstruct records from a result CSV; exact, via the integer counts."""
-    records = []
+    """Reconstruct records from a result CSV; exact, via the integer counts.
+
+    A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
+    """
+    records = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                records.append(BerRecord(
+                record = BerRecord(
                     scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
                     snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
                     bits_total=int(row["bits_total"]),
-                ))
+                )
             except KeyError as exc:
                 raise ConfigurationError(
                     f"{path}:{reader.line_num}: missing column {exc}") from exc
             except (TypeError, ValueError) as exc:  # TypeError: a short row's None
                 raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
-    return records
+            key = (record.scheme_label, record.snr_db)
+            if key in records:
+                raise ConfigurationError(
+                    f"{path}:{reader.line_num}: repeated record for scheme "
+                    f"{record.scheme_label} at {record.snr_db} dB")
+            records[key] = record
+    return list(records.values())
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -194,8 +203,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> SimulationConfig:
     values = read_config_file(args.config) if args.config else {}
-    for key in ("seed", "realizations", "frames", "symbols_per_frame", "snr_offset_db"):
-        if getattr(args, key) is not None:
+    for key in ("seed", "realizations", "frames", "symbols_per_frame", "snr_offset_db",
+                "u", "m"):
+        if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     try:
         if args.snr is not None:
@@ -204,6 +214,9 @@ def _config_from_args(args) -> SimulationConfig:
         raise ConfigurationError(f"--snr: {exc}") from exc
     if args.schemes is not None:
         values["schemes"] = tuple(v.strip() for v in args.schemes.split(",") if v.strip())
+    if getattr(args, "scheme", None) is not None:
+        # point runs the one scheme it names, with the u and m in effect.
+        values["schemes"] = (args.scheme,)
     return build_config(values)
 
 
@@ -221,8 +234,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     config = _config_from_args(args)
-    scheme = SchemeMode.from_label(args.scheme, u=args.u, m=args.m)
-    record = run_point(config, scheme, args.point_snr, workers=args.workers)
+    record = run_point(config, config.schemes[0], args.point_snr, workers=args.workers)
     print(",".join(RESULT_HEADER))
     print(",".join(str(v) for v in result_row(record)))
     return 0
@@ -258,8 +270,8 @@ def make_parser() -> argparse.ArgumentParser:
     point.add_argument("--scheme", required=True, help="scheme label")
     point.add_argument("--point-snr", "--snr-db", dest="point_snr", type=float,
                        required=True, help="operating SNR in dB")
-    point.add_argument("--u", type=float, default=1.0, help="augmentation weight")
-    point.add_argument("--m", type=float, default=1.0, help="regularizer multiplier")
+    point.add_argument("--u", type=float, help="augmentation weight (default 1)")
+    point.add_argument("--m", type=float, help="regularizer multiplier (default 1)")
     point.set_defaults(func=_cmd_point)
 
     gaps = sub.add_parser("gaps", help="pairwise BER gaps from an existing result CSV")

@@ -183,10 +183,9 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
         for i, rng in enumerate(rngs):
             rng.random(out=pool_u[0, i])
             rng.random(out=pool_u[1, i])
-        pool = chan.UserPool(rows=box_muller(pool_u[0, :n_real], pool_u[1, :n_real], 1.0))
-        channel = chan.select_users(pool, k)
+        h = chan.select_users(box_muller(pool_u[0, :n_real], pool_u[1, :n_real], 1.0), k)
         try:
-            prec = precoder.build(channel, scheme, n0, config.normalize_data_block_only)
+            prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"precoder build failed at realization {first + exc.index} "
@@ -207,7 +206,7 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             x = modem.qpsk_modulate(block_bits).reshape(n_real, uses, k).swapaxes(-1, -2)
             z = (box_muller(noise_u[0, :n_real, :n_frames], noise_u[1, :n_real, :n_frames], n0)
                  .swapaxes(1, 2).reshape(n_real, k, uses))
-            est = modem.transmit_receive(channel, prec, x, z)
+            est = modem.transmit_receive(h, prec, x, z)
             decided = modem.qpsk_demodulate(est.swapaxes(-1, -2))
             errors += int(np.count_nonzero(decided.reshape(block_bits.shape) != block_bits))
     return errors

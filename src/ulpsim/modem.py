@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelMatrix
 from .errors import ShapeError
 from .precoder import Precoder, per_matrix
 from .randomness import complex_normal
@@ -49,10 +48,11 @@ def draw_awgn(rng: np.random.Generator, n: int, n0: float) -> np.ndarray:
 
 
 def transmit_receive(
-    channel: ChannelMatrix, precoder: Precoder, symbols: np.ndarray, noise: np.ndarray
+    h: np.ndarray, precoder: Precoder, symbols: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
     """Run y = H F_data x + z and undo the power scaling at the receiver.
 
+    H is the (..., n_active, n_tx) channel the precoder was built for.
     For a single precoder, symbols may be a vector (one channel use) or an
     (n_active, n_uses) matrix. For a stack of precoders they are
     (..., n_active, n_uses), one matrix per precoder, where the columns may
@@ -71,4 +71,4 @@ def transmit_receive(
     # Gain control applied termwise so the noise contribution is exactly
     # additive: est(x, z) == est(x, 0) + z/beta.
     beta = per_matrix(precoder.beta)
-    return (channel.H @ (f_data @ x)) / beta + z / beta
+    return (h @ (f_data @ x)) / beta + z / beta

@@ -6,9 +6,10 @@ The unified precoder is computed through the column-space identity
 (where the row-space expression is not invertible for u > 0) and equals the
 Moore-Penrose pseudo-inverse of the augmented channel there.
 
-Every function takes a channel with leading batch axes, one realization per
-entry, and builds one precoder per matrix with its own beta; a single
-realization is the batch-of-one case without them.
+Every function takes the channel H as an (..., n_active, n_tx) array, whose
+leading batch axes hold one realization per entry, and builds one precoder
+per matrix with its own beta; a single realization is the batch-of-one case
+without them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
 from .errors import ConfigurationError, DegeneratePrecoderError
 from .linalg import solve_hermitian
 
@@ -70,7 +70,6 @@ class Precoder:
     F: np.ndarray
     beta: float | np.ndarray
     mode: SchemeMode
-    sigma2: float
 
     @property
     def n_tx(self) -> int:
@@ -98,21 +97,20 @@ def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float | np.nd
     return per_matrix(beta) * f_raw, beta
 
 
-def build_conventional(channel: ChannelMatrix, m: float, sigma2: float) -> Precoder:
+def build_conventional(h: np.ndarray, m: float, sigma2: float) -> Precoder:
     """Channel inversion H^H (H H^H + m*sigma2*I)^{-1}, power-normalized.
 
     m = 0 is plain zero-forcing; m > 0 regularizes with m*sigma2.
     """
-    h = channel.H
     gram = h @ h.conj().swapaxes(-1, -2)
     # X = (H H^H + ridge I)^{-1} H, so F_raw = X^H = H^H (H H^H + ridge I)^{-1}.
     x = solve_hermitian(gram, h, ridge=m * sigma2)
-    f, beta = power_scale(x.conj().swapaxes(-1, -2), channel.n_tx)
-    return Precoder(F=f, beta=beta, mode=SchemeMode(0.0, m), sigma2=sigma2)
+    f, beta = power_scale(x.conj().swapaxes(-1, -2), h.shape[-1])
+    return Precoder(F=f, beta=beta, mode=SchemeMode(0.0, m))
 
 
 def build_unified(
-    channel: ChannelMatrix,
+    h: np.ndarray,
     u: float,
     m: float,
     sigma2: float,
@@ -126,33 +124,32 @@ def build_unified(
     restricts it to the data columns.
     """
     if u == 0:
-        return build_conventional(channel, m, sigma2)
-    h = channel.H
-    n_tx = channel.n_tx
+        return build_conventional(h, m, sigma2)
+    n_active, n_tx = h.shape[-2:]
     scaled_eye = np.broadcast_to(u * np.eye(n_tx, dtype=np.complex128),
                                  h.shape[:-2] + (n_tx, n_tx))
     hu = np.concatenate([h, scaled_eye], axis=-2)
     huh = hu.conj().swapaxes(-1, -2)
     f_raw = solve_hermitian(huh @ hu, huh, ridge=m * sigma2)
     if normalize_data_block_only:
-        _, beta = power_scale(f_raw[..., : channel.n_active], n_tx)
+        _, beta = power_scale(f_raw[..., :n_active], n_tx)
         f = per_matrix(beta) * f_raw
     else:
         f, beta = power_scale(f_raw, n_tx)
-    return Precoder(F=f, beta=beta, mode=SchemeMode(u, m), sigma2=sigma2)
+    return Precoder(F=f, beta=beta, mode=SchemeMode(u, m))
 
 
 def build(
-    channel: ChannelMatrix,
+    h: np.ndarray,
     mode: SchemeMode,
     sigma2: float,
     normalize_data_block_only: bool = False,
 ) -> Precoder:
     """Precoder for a scheme mode; u = 0 is the conventional inversion."""
-    return build_unified(channel, mode.u, mode.m, sigma2, normalize_data_block_only)
+    return build_unified(h, mode.u, mode.m, sigma2, normalize_data_block_only)
 
 
-def effective_gain(channel: ChannelMatrix, precoder: Precoder) -> np.ndarray:
+def effective_gain(h: np.ndarray, precoder: Precoder) -> np.ndarray:
     """beta^{-1} H F_data: identity for exact zero-forcing, otherwise the
     residual-interference map seen at the receivers after gain control."""
-    return (channel.H @ precoder.data_block()) / per_matrix(precoder.beta)
+    return (h @ precoder.data_block()) / per_matrix(precoder.beta)

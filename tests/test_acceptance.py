@@ -132,7 +132,7 @@ def test_criterion_2_zero_forcing_exactness():
         ch = random_channel(seed + 2000)
         p = build_conventional(ch, m=0.0, sigma2=0.0)
         target = p.beta * np.eye(8)
-        worst = max(worst, np.linalg.norm(ch.H @ p.F - target) / np.linalg.norm(target))
+        worst = max(worst, np.linalg.norm(ch @ p.F - target) / np.linalg.norm(target))
     ch = random_channel(1)
     p = build_conventional(ch, m=0.0, sigma2=0.0)
     rng = derived_stream(3)
@@ -153,14 +153,14 @@ def test_criterion_3_unified_identity():
         ch = random_channel(seed + 3000)
         u, m, sigma2 = 0.8, 1.0, 0.25
         p = build_unified(ch, u=u, m=m, sigma2=sigma2)
-        hu = np.vstack([ch.H, u * np.eye(8)])
+        hu = np.vstack([ch, u * np.eye(8)])
         row_form = hu.conj().T @ np.linalg.inv(hu @ hu.conj().T + m * sigma2 * np.eye(16))
         worst_agreement = max(worst_agreement, float(np.max(np.abs(p.F / p.beta - row_form))))
     worst_mp = 0.0
     for seed in range(100):
         ch = random_channel(seed + 4000)
         p = build_unified(ch, u=1.0, m=0.0, sigma2=0.0)
-        hu = np.vstack([ch.H, np.eye(8)])
+        hu = np.vstack([ch, np.eye(8)])
         pinv = p.F / p.beta
         worst_mp = max(
             worst_mp,
@@ -266,7 +266,7 @@ def test_criterion_7_parallel_determinism():
 
 def test_criterion_8_statistical_sanity():
     pool = draw_user_pool(derived_stream(88), 1250, 80)
-    z = pool.rows.ravel()
+    z = pool.ravel()
     n = z.size
     fading_dev = abs(np.mean(np.abs(z) ** 2) - 1.0)
     fading_ok = fading_dev < 3.0 / np.sqrt(n)

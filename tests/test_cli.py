@@ -75,14 +75,16 @@ class TestEmitters:
 
     def test_result_csv_layout(self, table, tmp_path):
         cli.emit_table(table, tmp_path / "r.csv", tmp_path / "g.csv")
-        rows = list(csv.reader(open(tmp_path / "r.csv")))
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["snr_db", "scheme", "u", "m", "bit_errors", "bits_total",
                            "ber", "std_err", "low_confidence"]
         assert len(rows) == 13
 
     def test_gap_csv_pairs(self, table, tmp_path):
         cli.emit_gaps(table, tmp_path / "g.csv")
-        rows = list(csv.DictReader(open(tmp_path / "g.csv")))
+        with open(tmp_path / "g.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         pairs = {(r["scheme_a"], r["scheme_b"]) for r in rows}
         assert pairs == {("LZFP", "LMMSEP"), ("LZFP_u0", "LMMSEP_u0"), ("ULZFP", "ULMMSEP")}
         assert len(rows) == 9
@@ -133,6 +135,27 @@ class TestMain:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "LZFP"
 
+    @pytest.mark.parametrize("scheme,key,flag,expected", [
+        ("ULZFP", "u", None, 3.0),
+        ("ULZFP", "u", "2", 2.0),
+        ("ULMMSEP", "m", None, 3.0),
+        ("ULMMSEP", "m", "0.5", 0.5),
+    ])
+    def test_point_takes_u_and_m_from_file_unless_flagged(self, scheme, key, flag, expected,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 3\n")
+        flags = ["point", *TINY_FLAGS, "--scheme", scheme, "--point-snr", "20"]
+        from_file = flags + ["--config", str(cfg)] + ([f"--{key}", flag] if flag else [])
+        from_flag = flags + [f"--{key}", str(expected)]
+        rows = []
+        for argv in (from_file, from_flag):
+            assert cli.main(argv) == 0
+            header, row = capsys.readouterr().out.strip().splitlines()
+            rows.append(dict(zip(header.split(","), row.split(","))))
+        assert float(rows[0][key]) == expected
+        assert rows[0] == rows[1]
+
     def test_gaps_from_csv(self, tmp_path, capsys):
         out = tmp_path / "run"
         cli.main(["sweep", *TINY_FLAGS, "--out", str(out)])
@@ -182,6 +205,7 @@ class TestMain:
     @pytest.mark.parametrize("column,value,message", [
         ("u", None, "missing column 'u'"),
         ("bit_errors", "x", "invalid literal"),
+        ("scheme", "LZFP", "repeated record for scheme LZFP at 14.0 dB"),
     ])
     def test_malformed_table_exits_1_naming_file_and_row(self, column, value, message,
                                                          tmp_path, capsys):

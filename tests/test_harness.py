@@ -101,7 +101,7 @@ class TestRunPoint:
 
         def zero_third_channel(pool, n_active):
             channel = select(pool, n_active)
-            channel.H[2] = 0.0
+            channel[2] = 0.0
             return channel
 
         monkeypatch.setattr(harness.chan, "select_users", zero_third_channel)

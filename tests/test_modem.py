@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ulpsim.channel import ChannelMatrix, draw_user_pool, select_users
+from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ShapeError
 from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import build_conventional, build_unified, effective_gain

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ulpsim.channel import ChannelMatrix, draw_user_pool, select_users
+from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 from ulpsim.precoder import (
     SchemeMode,
@@ -71,7 +71,7 @@ class TestPowerScale:
 
 class TestBuildConventional:
     def test_identity_channel_zero_forcing(self):
-        ch = ChannelMatrix(H=np.eye(2, dtype=complex))
+        ch = np.eye(2, dtype=complex)
         p = build_conventional(ch, m=0.0, sigma2=0.0)
         assert p.beta == pytest.approx(1.0)
         assert np.allclose(p.F, np.eye(2))
@@ -79,8 +79,7 @@ class TestBuildConventional:
 
     def test_hand_inverse(self):
         h = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
-        ch = ChannelMatrix(H=h)
-        p = build_conventional(ch, m=0.0, sigma2=0.0)
+        p = build_conventional(h, m=0.0, sigma2=0.0)
         h_inv = np.array([[1.0, 0.0], [-1.0, 1.0]])
         beta = np.sqrt(2.0 / 3.0)  # trace(H^-1 H^-H) = 3
         assert p.beta == pytest.approx(beta)
@@ -91,12 +90,12 @@ class TestBuildConventional:
     def test_zero_forcing_product_identity(self):
         ch = random_channel(21)
         p = build_conventional(ch, m=0.0, sigma2=0.0)
-        assert np.max(np.abs(ch.H @ p.F - p.beta * np.eye(8))) < 1e-9 * p.beta
+        assert np.max(np.abs(ch @ p.F - p.beta * np.eye(8))) < 1e-9 * p.beta
 
     def test_singular_channel(self):
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(SingularMatrixError):
-            build_conventional(ChannelMatrix(H=h), m=0.0, sigma2=0.0)
+            build_conventional(h, m=0.0, sigma2=0.0)
 
 
 class TestBuildUnified:
@@ -110,7 +109,7 @@ class TestBuildUnified:
                 assert np.max(np.abs(uni.F - conv.F)) < 1e-12
 
     def test_identity_channel_closed_form(self):
-        ch = ChannelMatrix(H=np.eye(2, dtype=complex))
+        ch = np.eye(2, dtype=complex)
         p = build_unified(ch, u=1.0, m=0.0, sigma2=0.0)
         # Raw matrix is 0.5 [I I] with trace(F F^H) = 1, hence beta = sqrt(2).
         assert p.beta == pytest.approx(np.sqrt(2.0))
@@ -119,8 +118,8 @@ class TestBuildUnified:
     def test_data_block_is_regularized_inverse(self):
         ch = random_channel(33)
         p = build_unified(ch, u=1.0, m=0.0, sigma2=0.0)
-        hh = ch.H.conj().T
-        expected = np.linalg.solve(hh @ ch.H + np.eye(8), hh)
+        hh = ch.conj().T
+        expected = np.linalg.solve(hh @ ch + np.eye(8), hh)
         assert np.max(np.abs(p.data_block() / p.beta - expected)) < 1e-10
 
     def test_row_space_column_space_agreement(self):
@@ -129,14 +128,14 @@ class TestBuildUnified:
             ch = random_channel(seed + 500)
             m, sigma2, u = 1.0, 0.25, 0.8
             p = build_unified(ch, u=u, m=m, sigma2=sigma2)
-            hu = np.vstack([ch.H, u * np.eye(8)])
+            hu = np.vstack([ch, u * np.eye(8)])
             row_form = hu.conj().T @ np.linalg.inv(hu @ hu.conj().T + m * sigma2 * np.eye(16))
             assert np.max(np.abs(p.F / p.beta - row_form)) < 1e-10
 
     def test_moore_penrose_at_zero_regularizer(self):
         ch = random_channel(77)
         p = build_unified(ch, u=1.0, m=0.0, sigma2=0.0)
-        hu = np.vstack([ch.H, np.eye(8)])
+        hu = np.vstack([ch, np.eye(8)])
         pinv = p.F / p.beta
         assert np.max(np.abs(hu @ pinv @ hu - hu)) < 1e-10
         assert np.max(np.abs(pinv @ hu @ pinv - pinv)) < 1e-10
