@@ -51,8 +51,12 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def read_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file; unknown keys are errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -191,7 +195,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--snr", help="comma-separated SNR list in dB")
-    parser.add_argument("--schemes", help="comma-separated scheme labels")
     parser.add_argument("--realizations", type=int, help="Monte Carlo channel realizations")
     parser.add_argument("--frames", type=int, help="frames per realization")
     parser.add_argument("--symbols", dest="symbols_per_frame", type=int,
@@ -212,7 +215,7 @@ def _config_from_args(args) -> SimulationConfig:
             values["snr_db"] = tuple(float(v) for v in args.snr.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigurationError(f"--snr: {exc}") from exc
-    if args.schemes is not None:
+    if getattr(args, "schemes", None) is not None:
         values["schemes"] = tuple(v.strip() for v in args.schemes.split(",") if v.strip())
     if getattr(args, "scheme", None) is not None:
         # point runs the one scheme it names, with the u and m in effect.
@@ -263,6 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the full SNR x scheme sweep")
     _add_common_flags(sweep)
+    sweep.add_argument("--schemes", help="comma-separated scheme labels")
     sweep.set_defaults(func=_cmd_sweep)
 
     point = sub.add_parser("point", help="run a single (scheme, SNR) cell")

@@ -3,6 +3,9 @@
 Each channel realization gets its own counter-derived random stream keyed on
 (master seed, SNR, realization index), so error counts are a pure function
 of the configuration: any worker count, any scheduling order, same table.
+The stream is read as raw Philox words in a fixed per-realization layout
+(pool, then each frame's bits and noise; see _range_errors), the same words
+that randomness.derived_stream's generator would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
 BER gaps are paired comparisons and reduction gaps are exactly zero.
@@ -20,7 +23,7 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import box_muller, derived_stream, snr_key
+from .randomness import bit_pairs, box_muller, snr_key, start_stream, stream_keys, uniforms
 
 DEFAULT_SCHEMES = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 LOW_CONFIDENCE_ERRORS = 10
@@ -28,6 +31,9 @@ LOW_CONFIDENCE_ERRORS = 10
 # enough that a block's arrays stay in cache, large enough that the per-call
 # overhead of each numpy stage is shared by many realizations or frames.
 BLOCK_ENTRIES = 2048
+# Realizations whose Philox keys are derived in one stream_keys call: enough
+# to share its fixed cost, few enough that a huge range needs little memory.
+KEY_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,16 @@ def _snr_stream_key(snr_db: float, offset_db: float) -> int:
         f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
+def _block_keys(seed: int, snr_db: float, start: int, stop: int, per_block: int):
+    """(first, keys) per block of [start, stop): each realization's Philox key as two ints."""
+    span = per_block * max(1, KEY_SPAN // per_block)
+    for low in range(start, stop, span):
+        keys = stream_keys(seed, snr_key(snr_db),
+                           np.arange(low, min(low + span, stop), dtype=np.uint64))
+        for i in range(0, len(keys), per_block):
+            yield low + i, keys[i:i + per_block].tolist()
+
+
 def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, stop: int) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
@@ -160,30 +176,36 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     Whole realizations share a block while each of their complex arrays (the
     pool, or all frames' symbols) fits in BLOCK_ENTRIES entries; a
     realization that does not fit is a block of its own, its frames taken in
-    groups that fit. Draw phase: each realization of the block draws from its
-    own stream in the fixed per-realization order (the pool's two uniform
-    arrays, then per frame the bits, u1 and u2), so counts do not depend on
-    the blocking. Compute phase: everything else runs once per block on
-    stacked arrays.
+    groups that fit.
+
+    Draw phase: the Philox keys of up to KEY_SPAN realizations are derived
+    at once, and each realization's stream is read as raw 64-bit words in a
+    fixed layout: the pool's u1 and u2 (n_pool * n_tx words each), then per
+    frame k * n_sym bit words, k * n_sym noise u1 and k * n_sym noise u2.
+    A realization of a shared block takes all its words in one call; a
+    realization whose frames are split takes its pool and first frame group
+    in one call and each later group in one more. The layout is the order in
+    which derived_stream's generator draws them (draw_user_pool, then per
+    frame integers(0, 2) and draw_awgn), so counts do not depend on the
+    blocking. Compute phase: everything else runs once per block on stacked
+    arrays.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
-    group = min(config.frames, max(1, BLOCK_ENTRIES // (k * n_sym)))
-    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, config.frames * k * n_sym))
+    per_frame = k * n_sym
+    group = min(config.frames, max(1, BLOCK_ENTRIES // per_frame))
+    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, config.frames * per_frame))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
-    key = snr_key(snr_db)
-    pool_u = np.empty((2, per_block, n_pool, n_tx))
-    bits = np.empty((per_block, group, 2 * k * n_sym), dtype=np.int64)
-    noise_u = np.empty((2, per_block, group, k, n_sym))
+    philox = np.random.Philox(0)
+    pool_words = 2 * n_pool * n_tx
+    words = np.empty((per_block, pool_words + 3 * group * per_frame), dtype=np.uint64)
     errors = 0
-    for first in range(start, stop, per_block):
-        rngs = [derived_stream(config.seed, key, r)
-                for r in range(first, min(first + per_block, stop))]
-        n_real = len(rngs)
-        for i, rng in enumerate(rngs):
-            rng.random(out=pool_u[0, i])
-            rng.random(out=pool_u[1, i])
-        h = chan.select_users(box_muller(pool_u[0, :n_real], pool_u[1, :n_real], 1.0), k)
+    for first, keys in _block_keys(config.seed, snr_db, start, stop, per_block):
+        n_real = len(keys)
+        for i, key in enumerate(keys):
+            words[i] = start_stream(philox, key).random_raw(words.shape[1])
+        pool_u = uniforms(words[:n_real, :pool_words]).reshape(n_real, 2, n_pool, n_tx)
+        h = chan.select_users(box_muller(pool_u[:, 0], pool_u[:, 1], 1.0), k)
         try:
             prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
         except SingularMatrixError as exc:
@@ -193,22 +215,26 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             ) from exc
         for done in range(0, config.frames, group):
             n_frames = min(group, config.frames - done)
-            for i, rng in enumerate(rngs):
-                for j in range(n_frames):
-                    bits[i, j] = rng.integers(0, 2, size=2 * k * n_sym)
-                    rng.random(out=noise_u[0, i, j])
-                    rng.random(out=noise_u[1, i, j])
-            block_bits = bits[:n_real, :n_frames]
+            frame_words = words[:n_real, pool_words:pool_words + 3 * n_frames * per_frame]
+            if done:
+                # Frames split only in a block of one realization, whose
+                # stream philox still holds.
+                frame_words[0] = philox.random_raw(frame_words.shape[1])
+            frame_words = frame_words.reshape(n_real, n_frames, 3, per_frame)
             # One realization's frames side by side as (k, n_frames * n_sym)
-            # columns. A frame's bits hold its symbols in (symbol, user) order
-            # and its noise is drawn as (user, symbol).
+            # columns. A frame's bit words hold its symbols in (symbol, user)
+            # order and its noise is drawn as (user, symbol).
             uses = n_frames * n_sym
-            x = modem.qpsk_modulate(block_bits).reshape(n_real, uses, k).swapaxes(-1, -2)
-            z = (box_muller(noise_u[0, :n_real, :n_frames], noise_u[1, :n_real, :n_frames], n0)
+            x = (modem.QPSK_SYMBOLS[bit_pairs(frame_words[:, :, 0])]
+                 .reshape(n_real, uses, k).swapaxes(-1, -2))
+            noise_u = uniforms(frame_words[:, :, 1:]).reshape(n_real, n_frames, 2, k, n_sym)
+            z = (box_muller(noise_u[:, :, 0], noise_u[:, :, 1], n0)
                  .swapaxes(1, 2).reshape(n_real, k, uses))
             est = modem.transmit_receive(h, prec, x, z)
-            decided = modem.qpsk_demodulate(est.swapaxes(-1, -2))
-            errors += int(np.count_nonzero(decided.reshape(block_bits.shape) != block_bits))
+            # qpsk_demodulate's decisions: a bit is wrong where the sign of
+            # its part of est differs from the sign it was sent with.
+            errors += int(np.count_nonzero((est.real < 0) != (x.real < 0))
+                          + np.count_nonzero((est.imag < 0) != (x.imag < 0)))
     return errors
 
 

@@ -29,6 +29,10 @@ def qpsk_modulate(bits) -> np.ndarray:
     return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _SQRT2
 
 
+# qpsk_modulate's symbol for the bit pair (b0, b1) at index b0 + 2*b1.
+QPSK_SYMBOLS = qpsk_modulate(np.array([0, 0, 1, 0, 0, 1, 1, 1]))
+
+
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance decisions: sign of real/imaginary part per bit.
 

@@ -186,6 +186,7 @@ class TestMain:
         ["sweep", "--realizations", "x"],
         ["sweep", "--no-such-flag"],
         ["point", "--point-snr", "20"],
+        ["point", "--scheme", "ULZFP", "--schemes", "LZFP,LZFP", "--point-snr", "20"],
     ])
     def test_bad_input_exits_1_with_one_line(self, flags, tmp_path, capsys):
         assert cli.main([*flags, *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ulpsim import harness
+from ulpsim import harness, precoder
+from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ConfigurationError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
@@ -12,7 +13,9 @@ from ulpsim.harness import (
     run_sweep,
     snr_db_to_noise_variance,
 )
+from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import SchemeMode
+from ulpsim.randomness import derived_stream, snr_key
 
 TINY = SimulationConfig(realizations=6, frames=2, symbols_per_frame=10, seed=99)
 
@@ -82,11 +85,11 @@ class TestRunPoint:
         assert snr_db_to_noise_variance(4000.0) == 0.0
         assert record.bit_errors == 0
 
-    # TINY's realizations carry 160 pool entries and 2 frames of 320 bits:
-    # 1 and 400 split every realization's frames, 2048 gives blocks of 3
-    # realizations and 10**6 one block of all 6.
+    # TINY's realizations carry 160 pool entries and 2 frames of 80 symbols:
+    # 1 splits every realization's frames, 400 gives blocks of 2
+    # realizations, and 2048, 8192 and 10**6 one block of all 6.
     @pytest.mark.parametrize("label", ["LZFP", "ULMMSEP"])
-    @pytest.mark.parametrize("block_entries", [1, 400, 2048, 10**6])
+    @pytest.mark.parametrize("block_entries", [1, 400, 2048, 8192, 10**6])
     def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
         scheme = SchemeMode.from_label(label)
         whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
@@ -95,6 +98,16 @@ class TestRunPoint:
         assert sum(_range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
         assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
         assert 0 < whole <= TINY.bits_per_point
+
+    # Keys for one block at a time, or for the first 4 realizations and then 2.
+    @pytest.mark.parametrize("key_span", [1, 4])
+    def test_range_count_does_not_depend_on_key_span(self, monkeypatch, key_span):
+        scheme = SchemeMode.from_label("ULMMSEP")
+        whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
+        monkeypatch.setattr(harness, "KEY_SPAN", key_span)
+        for block_entries in (1, 400, 10**6):
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+            assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
 
     def test_singular_build_names_its_realization(self, monkeypatch):
         select = harness.chan.select_users
@@ -129,6 +142,73 @@ class TestRunPoint:
         assert record.standard_error == pytest.approx(np.sqrt(p * (1 - p) / 1000))
         assert not record.low_confidence
         assert BerRecord("LZFP", 0, 0, 10.0, 9, 1000).low_confidence
+
+
+def reference_errors(config, scheme, snr_db, start, stop):
+    """_range_errors one realization at a time, through derived_stream and the public layers."""
+    k, n_sym = config.active_users, config.symbols_per_frame
+    n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
+    errors = 0
+    for r in range(start, stop):
+        rng = derived_stream(config.seed, snr_key(snr_db), r)
+        h = select_users(draw_user_pool(rng, config.pool_users, config.tx_antennas), k)
+        prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
+        for _ in range(config.frames):
+            bits = rng.integers(0, 2, 2 * k * n_sym)
+            x = qpsk_modulate(bits).reshape(n_sym, k).T
+            est = transmit_receive(h, prec, x, draw_awgn(rng, (k, n_sym), n0))
+            errors += int(np.count_nonzero(qpsk_demodulate(est.T.reshape(-1)) != bits))
+    return errors
+
+
+class TestRangeErrorsMatchReference:
+    """The raw-word engine against the per-realization draws it replaces.
+
+    With 2048 block entries, 20x10x100 takes a realization's frames 2 at a
+    time, 600x1x1 puts 12 realizations in a block and 3x7x700 takes 1 frame
+    at a time.
+    """
+
+    @pytest.mark.parametrize("shape,seed,snr_db,offset,label,data_block_only", [
+        ((20, 10, 100), 42, -5.0, 0.0, "LMMSEP", False),
+        ((20, 10, 100), 2**40 + 3, 4000.0, 0.0, "ULZFP", True),
+        ((600, 1, 1), 2**40 + 3, 14.0, -15.0, "ULMMSEP", True),
+        ((600, 1, 1), 7, -5.0, 0.0, "LZFP", False),
+        ((3, 7, 700), 2**40 + 3, -5.0, -15.0, "ULMMSEP", False),
+        ((3, 7, 700), 42, 20.0, -15.0, "LZFP", True),
+    ])
+    def test_range_equals_reference(self, shape, seed, snr_db, offset, label, data_block_only):
+        realizations, frames, symbols = shape
+        config = SimulationConfig(realizations=realizations, frames=frames,
+                                  symbols_per_frame=symbols, seed=seed, snr_offset_db=offset,
+                                  normalize_data_block_only=data_block_only)
+        scheme = SchemeMode.from_label(label)
+        errors = _range_errors(config, scheme, snr_db, 0, realizations)
+        assert errors == reference_errors(config, scheme, snr_db, 0, realizations)
+        assert errors > 0
+
+    def test_exact_zero_decides_bit_zero(self, monkeypatch):
+        # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent is an error.
+        monkeypatch.setattr(harness.modem, "transmit_receive", lambda h, prec, x, z: 0.0 * x)
+        config = SimulationConfig(realizations=3, frames=2, symbols_per_frame=5)
+        k, n_sym = config.active_users, config.symbols_per_frame
+        ones = 0
+        for r in range(config.realizations):
+            rng = derived_stream(config.seed, snr_key(10.0), r)
+            draw_user_pool(rng, config.pool_users, config.tx_antennas)
+            for _ in range(config.frames):
+                ones += int(rng.integers(0, 2, 2 * k * n_sym).sum())
+                draw_awgn(rng, (k, n_sym), 1.0)
+        scheme = SchemeMode.from_label("LZFP")
+        assert _range_errors(config, scheme, 10.0, 0, config.realizations) == ones > 0
+
+    def test_indices_past_32_bits(self):
+        # Realization 2**32 is the first whose index takes two entropy words.
+        config = SimulationConfig(frames=2, symbols_per_frame=50, seed=-1)
+        scheme = SchemeMode.from_label("ULZFP")
+        errors = _range_errors(config, scheme, 0.0, 2**32 - 1, 2**32 + 1)
+        assert errors == reference_errors(config, scheme, 0.0, 2**32 - 1, 2**32 + 1)
+        assert errors > 0
 
 
 class TestRunSweep:

@@ -1,0 +1,68 @@
+"""Raw-word streams against numpy's own seeding and Generator decoders."""
+
+import numpy as np
+import pytest
+
+from ulpsim.modem import QPSK_SYMBOLS, qpsk_modulate
+from ulpsim.randomness import (
+    bit_pairs,
+    derived_stream,
+    start_stream,
+    stream_keys,
+    uniforms,
+)
+
+MASK64 = (1 << 64) - 1
+# 2**32 - 1 is the largest one-word index, 2**32 the smallest two-word one.
+INDICES = [0, 1, 2**32 - 1, 2**32]
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32, 2**63 + 5, -1])
+@pytest.mark.parametrize("key", [-5000, 30000])
+def test_stream_keys_match_seed_sequence(seed, key):
+    keys = stream_keys(seed, key, INDICES)
+    assert keys.dtype == np.uint64 and keys.shape == (len(INDICES), 2)
+    for row, r in zip(keys, INDICES):
+        entropy = [seed & MASK64, key & MASK64, r]
+        expected = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+        assert row.tolist() == expected.tolist(), r
+
+
+def test_stream_keys_keep_index_order_across_word_counts():
+    indices = [2**32 + 7, 5, 2**64 - 1, 2**32 - 1, 0]
+    keys = stream_keys(42, 14000, indices)
+    for row, r in zip(keys, indices):
+        assert row.tolist() == stream_keys(42, 14000, [r])[0].tolist()
+    assert len({tuple(row) for row in keys.tolist()}) == len(indices)
+
+
+def test_started_stream_is_derived_stream():
+    philox = np.random.Philox(0)
+    for r in (3, 2**32, 3):
+        expected = derived_stream(42, 14000, r).bit_generator.random_raw(50)
+        key = stream_keys(42, 14000, [r]).tolist()[0]
+        assert np.array_equal(start_stream(philox, key).random_raw(50), expected)
+
+
+def test_uniforms_match_generator_random():
+    words = derived_stream(7, 1, 2).bit_generator.random_raw(1000)
+    assert np.array_equal(uniforms(words), derived_stream(7, 1, 2).random(1000))
+    ends = uniforms(np.array([0, MASK64], dtype=np.uint64))
+    assert ends.tolist() == [0.0, 1.0 - 2.0**-53]
+
+
+def test_bit_pairs_match_generator_integers():
+    words = derived_stream(7, 1, 2).bit_generator.random_raw(1000)
+    bits = derived_stream(7, 1, 2).integers(0, 2, 2000)
+    assert np.array_equal(bit_pairs(words), bits[0::2] + 2 * bits[1::2])
+    assert np.array_equal(QPSK_SYMBOLS[bit_pairs(words)], qpsk_modulate(bits))
+
+
+def test_draws_after_bits_stay_aligned():
+    # An even number of bits leaves no half word, so the next draw starts a word.
+    rng = derived_stream(9, 8, 7)
+    bits = rng.integers(0, 2, 10)
+    after = rng.random(3)
+    words = derived_stream(9, 8, 7).bit_generator.random_raw(8)
+    assert np.array_equal(bit_pairs(words[:5]), bits[0::2] + 2 * bits[1::2])
+    assert np.array_equal(uniforms(words[5:]), after)
