@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .harness import BerRecord, BerTable, SimulationConfig, run_point, run_sweep
-from .precoder import SchemeMode
+from .precoder import LABELS, SchemeMode
 
 # Table-style pairwise comparisons emitted per SNR: conventional pair, the
 # same pair reached through the unified family at u=0, and the u>0 pair.
@@ -32,21 +32,39 @@ GAP_PAIRS = (
 RESULT_HEADER = ["snr_db", "scheme", "u", "m", "bit_errors", "bits_total",
                  "ber", "std_err", "low_confidence"]
 
-_INT_KEYS = {"tx_antennas", "pool_users", "active_users", "realizations",
-             "frames", "symbols_per_frame", "seed"}
-_FLOAT_KEYS = {"snr_offset_db", "u", "m"}
-_BOOL_KEYS = {"normalize_data_block_only"}
-_LIST_KEYS = {"snr_db", "schemes"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _LIST_KEYS
 
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _boolean(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigurationError(f"key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
+
+
+def _labels(raw: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _one(read):
+    """Reader of a list key given one value (point's --scheme, --point-snr): a 1-tuple."""
+    def one(raw):
+        return (read(raw),)
+    one.__name__ = read.__name__  # argparse names the type in its messages
+    return one
+
+
+# Config key -> reader of its text, for file lines and for the flags that set it.
+KNOWN_KEYS = {
+    "tx_antennas": int, "pool_users": int, "active_users": int, "realizations": int,
+    "frames": int, "symbols_per_frame": int, "seed": int,
+    "snr_offset_db": float, "u": float, "m": float,
+    "normalize_data_block_only": _boolean, "snr_db": _floats, "schemes": _labels,
+}
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -66,16 +84,7 @@ def read_config_file(path: str | Path) -> dict:
         if key not in KNOWN_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(key, raw)
-            elif key == "snr_db":
-                values[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            elif key == "schemes":
-                values[key] = tuple(v.strip() for v in raw.split(",") if v.strip())
+            values[key] = KNOWN_KEYS[key](raw)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
     return values
@@ -85,7 +94,7 @@ def build_config(values: dict) -> SimulationConfig:
     """SimulationConfig from parsed key=value pairs, defaults for the rest."""
     u = float(values.pop("u", 1.0))
     m = float(values.pop("m", 1.0))
-    labels = values.pop("schemes", ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP"))
+    labels = values.pop("schemes", LABELS)
     schemes = tuple(SchemeMode.from_label(lbl, u=u, m=m) for lbl in labels)
     config = SimulationConfig(schemes=schemes, **values)
     config.validate()
@@ -191,35 +200,11 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     return list(records.values())
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--snr", help="comma-separated SNR list in dB")
-    parser.add_argument("--realizations", type=int, help="Monte Carlo channel realizations")
-    parser.add_argument("--frames", type=int, help="frames per realization")
-    parser.add_argument("--symbols", dest="symbols_per_frame", type=int,
-                        help="symbol vectors per frame")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
-    parser.add_argument("--snr-offset-db", type=float, help="global SNR calibration offset")
-    parser.add_argument("--out", default=".", help="output directory")
-
-
 def _config_from_args(args) -> SimulationConfig:
+    """The config file's values, each replaced by the flag that sets its key."""
     values = read_config_file(args.config) if args.config else {}
-    for key in ("seed", "realizations", "frames", "symbols_per_frame", "snr_offset_db",
-                "u", "m"):
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    try:
-        if args.snr is not None:
-            values["snr_db"] = tuple(float(v) for v in args.snr.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"--snr: {exc}") from exc
-    if getattr(args, "schemes", None) is not None:
-        values["schemes"] = tuple(v.strip() for v in args.schemes.split(",") if v.strip())
-    if getattr(args, "scheme", None) is not None:
-        # point runs the one scheme it names, with the u and m in effect.
-        values["schemes"] = (args.scheme,)
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in KNOWN_KEYS and value is not None)
     return build_config(values)
 
 
@@ -237,7 +222,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     config = _config_from_args(args)
-    record = run_point(config, config.schemes[0], args.point_snr, workers=args.workers)
+    record = run_point(config, config.schemes[0], config.snr_db[0], workers=args.workers)
     print(",".join(RESULT_HEADER))
     print(",".join(str(v) for v in result_row(record)))
     return 0
@@ -265,18 +250,33 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the full SNR x scheme sweep")
-    _add_common_flags(sweep)
-    sweep.add_argument("--schemes", help="comma-separated scheme labels")
     sweep.set_defaults(func=_cmd_sweep)
-
     point = sub.add_parser("point", help="run a single (scheme, SNR) cell")
-    _add_common_flags(point)
-    point.add_argument("--scheme", required=True, help="scheme label")
-    point.add_argument("--point-snr", "--snr-db", dest="point_snr", type=float,
-                       required=True, help="operating SNR in dB")
-    point.add_argument("--u", type=float, help="augmentation weight (default 1)")
-    point.add_argument("--m", type=float, help="regularizer multiplier (default 1)")
     point.set_defaults(func=_cmd_point)
+    for cmd in (sweep, point):
+        cmd.add_argument("--config", help="flat key=value config file")
+        cmd.add_argument("--seed", type=KNOWN_KEYS["seed"], help="master seed")
+        cmd.add_argument("--realizations", type=KNOWN_KEYS["realizations"],
+                         help="Monte Carlo channel realizations")
+        cmd.add_argument("--frames", type=KNOWN_KEYS["frames"], help="frames per realization")
+        cmd.add_argument("--symbols", dest="symbols_per_frame",
+                         type=KNOWN_KEYS["symbols_per_frame"], help="symbol vectors per frame")
+        cmd.add_argument("--snr-offset-db", type=KNOWN_KEYS["snr_offset_db"],
+                         help="global SNR calibration offset")
+        cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
+
+    sweep.add_argument("--snr", dest="snr_db", type=KNOWN_KEYS["snr_db"],
+                       help="comma-separated SNR list in dB")
+    sweep.add_argument("--schemes", type=KNOWN_KEYS["schemes"],
+                       help="comma-separated scheme labels")
+    sweep.add_argument("--out", default=".", help="output directory")
+
+    point.add_argument("--scheme", dest="schemes", type=_one(str), required=True,
+                       help="scheme label")
+    point.add_argument("--point-snr", "--snr-db", dest="snr_db", type=_one(float),
+                       required=True, help="operating SNR in dB")
+    point.add_argument("--u", type=KNOWN_KEYS["u"], help="augmentation weight (default 1)")
+    point.add_argument("--m", type=KNOWN_KEYS["m"], help="regularizer multiplier (default 1)")
 
     gaps = sub.add_parser("gaps", help="pairwise BER gaps from an existing result CSV")
     gaps.add_argument("--table", required=True, help="result CSV from a sweep")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
 from .randomness import bit_pairs, box_muller, snr_key, start_stream, stream_keys, uniforms
 
-DEFAULT_SCHEMES = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 LOW_CONFIDENCE_ERRORS = 10
 # Entries per block array of the realization engine (see _range_errors). Small
 # enough that a block's arrays stay in cache, large enough that the per-call
@@ -45,7 +44,7 @@ class SimulationConfig:
     active_users: int = 8
     snr_db: tuple[float, ...] = (14.0, 20.0, 30.0)
     schemes: tuple[precoder.SchemeMode, ...] = tuple(
-        precoder.SchemeMode.from_label(s) for s in DEFAULT_SCHEMES
+        precoder.SchemeMode.from_label(s) for s in precoder.LABELS
     )
     realizations: int = 1000
     frames: int = 10
@@ -86,24 +85,10 @@ class SimulationConfig:
                 * self.active_users * 2)
 
     def digest(self) -> str:
-        """Stable hash of the configuration, for provenance logs."""
-        payload = json.dumps(
-            {
-                "tx_antennas": self.tx_antennas,
-                "pool_users": self.pool_users,
-                "active_users": self.active_users,
-                "snr_db": list(self.snr_db),
-                "schemes": [[s.u, s.m] for s in self.schemes],
-                "realizations": self.realizations,
-                "frames": self.frames,
-                "symbols_per_frame": self.symbols_per_frame,
-                "seed": self.seed,
-                "snr_offset_db": self.snr_offset_db,
-                "normalize_data_block_only": self.normalize_data_block_only,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """Stable hash of every field, for provenance logs; a scheme counts as [u, m]."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["schemes"] = [[s.u, s.m] for s in self.schemes]
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

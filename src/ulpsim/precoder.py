@@ -45,17 +45,22 @@ class SchemeMode:
 
     @classmethod
     def from_label(cls, label: str, u: float = 1.0, m: float = 1.0) -> "SchemeMode":
-        """Mode for a scheme name; u and m apply only where the name allows them."""
+        """Mode for a scheme name; u and m apply only where the name allows them.
+
+        A weight the name needs may not be 0: the mode would carry another label.
+        """
         name = label.strip().upper()
-        if name == "LZFP":
-            return cls(0.0, 0.0)
-        if name == "LMMSEP":
-            return cls(0.0, m)
-        if name == "ULZFP":
-            return cls(u, 0.0)
-        if name == "ULMMSEP":
-            return cls(u, m)
-        raise ConfigurationError(f"unknown scheme {label!r}; expected one of {LABELS}")
+        if name not in LABELS:
+            raise ConfigurationError(f"unknown scheme {label!r}; expected one of {LABELS}")
+        needs = [w for w, needed in (("u", name.startswith("U")), ("m", "MMSE" in name))
+                 if needed]
+        mode = cls(u if "u" in needs else 0.0, m if "m" in needs else 0.0)
+        zero = [w for w in needs if getattr(mode, w) == 0]
+        if zero:
+            raise ConfigurationError(
+                f"scheme {name} needs {' and '.join(f'{w} > 0' for w in zero)} "
+                f"({', '.join(f'{w} = 0' for w in zero)} makes it {mode.label})")
+        return mode
 
 
 @dataclass(frozen=True)

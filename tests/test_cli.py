@@ -118,6 +118,36 @@ class TestEmitters:
         assert entry["ber"] == table.records[0].ber
 
 
+# Invalid command lines, each with a fragment of its one-line message. New
+# cases go at the end, so that each case keeps its id.
+BAD_INPUTS = [
+    (["point", "--scheme", "ULZFP", "--u", "nan", "--point-snr", "20"], "u=nan"),
+    (["point", "--scheme", "ULMMSEP", "--m", "inf", "--point-snr", "20"], "m=inf"),
+    (["point", "--scheme", "LZFP", "--point-snr", "nan"], "SNR nan dB"),
+    (["point", "--scheme", "LZFP", "--point-snr", "inf"], "SNR inf dB"),
+    (["point", "--scheme", "LZFP", "--point-snr", "1e306"], "SNR 1e+306 dB"),
+    (["point", "--scheme", "LZFP", "--point-snr", "-4000"], "SNR -4000.0 dB"),
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--workers", "0"], "workers"),
+    (["sweep", "--snr", "20,20"], "at least 1 milli-dB"),
+    (["sweep", "--snr", "20,abc"], "--snr: invalid _floats value: '20,abc'"),
+    (["sweep", "--snr-offset-db", "nan"], "offset nan dB"),
+    (["sweep", "--workers", "-1"], "workers"),
+    (["sweep", "--schemes", "LZFP,LMMSEP,LZFP"], "must not repeat"),
+    (["sweep", "--realizations", "x"], "--realizations: invalid int value: 'x'"),
+    (["sweep", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    (["point", "--point-snr", "20"], "required: --scheme"),
+    (["point", "--scheme", "ULZFP", "--schemes", "LZFP,LZFP", "--point-snr", "20"],
+     "unrecognized arguments: --schemes"),
+    # point runs one cell and writes no file: it takes neither --snr nor --out.
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--snr", "5"],
+     "ambiguous option: --snr"),
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--out", "d"],
+     "unrecognized arguments: --out d"),
+    (["point", "--scheme", "ULMMSEP", "--m", "0", "--point-snr", "20"],
+     "scheme ULMMSEP needs m > 0 (m = 0 makes it ULZFP)"),
+]
+
+
 class TestMain:
     def test_sweep_byte_identical(self, tmp_path):
         outs = []
@@ -170,30 +200,30 @@ class TestMain:
         bad.write_text("bogus_key = 1\n")
         assert cli.main(["sweep", "--config", str(bad)]) == 1
 
-    @pytest.mark.parametrize("flags", [
-        ["point", "--scheme", "ULZFP", "--u", "nan", "--point-snr", "20"],
-        ["point", "--scheme", "ULMMSEP", "--m", "inf", "--point-snr", "20"],
-        ["point", "--scheme", "LZFP", "--point-snr", "nan"],
-        ["point", "--scheme", "LZFP", "--point-snr", "inf"],
-        ["point", "--scheme", "LZFP", "--point-snr", "1e306"],
-        ["point", "--scheme", "LZFP", "--point-snr", "-4000"],
-        ["point", "--scheme", "LZFP", "--point-snr", "20", "--workers", "0"],
-        ["sweep", "--snr", "20,20"],
-        ["sweep", "--snr", "20,abc"],
-        ["sweep", "--snr-offset-db", "nan"],
-        ["sweep", "--workers", "-1"],
-        ["sweep", "--schemes", "LZFP,LMMSEP,LZFP"],
-        ["sweep", "--realizations", "x"],
-        ["sweep", "--no-such-flag"],
-        ["point", "--point-snr", "20"],
-        ["point", "--scheme", "ULZFP", "--schemes", "LZFP,LZFP", "--point-snr", "20"],
-    ])
-    def test_bad_input_exits_1_with_one_line(self, flags, tmp_path, capsys):
-        assert cli.main([*flags, *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 1
+    @pytest.mark.parametrize("flags,message", BAD_INPUTS,
+                             ids=[f"flags{i}" for i in range(len(BAD_INPUTS))])
+    def test_bad_input_exits_1_with_one_line(self, flags, message, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "x")] if flags[0] == "sweep" else []
+        assert cli.main([*flags, *TINY_FLAGS, *out]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: ")
+        assert message in captured.err
         assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x" / "results.csv").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("u = 0\n", "scheme ULZFP needs u > 0 (u = 0 makes it LZFP)"),
+        ("normalize_data_block_only = maybe\n",
+         "{cfg}:1: key 'normalize_data_block_only': expected a boolean, got 'maybe'"),
+    ], ids=["u0", "bad_boolean"])
+    def test_bad_config_file_exits_1_naming_the_cause(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv = ["sweep", "--config", str(cfg), *TINY_FLAGS, "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {message.format(cfg=cfg)}\n"
         assert not (tmp_path / "x" / "results.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])

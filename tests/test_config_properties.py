@@ -52,8 +52,7 @@ VALUES = {
     "frames": counts(10**6),
     "symbols_per_frame": counts(10**6),
     "snr_offset_db": floats(-100.0, 100.0),
-    # A u or m of 0 turns unified labels into conventional ones, which may
-    # then repeat a label: validate rejects that (test_harness).
+    # A u or m of 0 is rejected for a label that needs it (test_cli).
     "u": floats(0.0, 1e6, exclude_min=True),
     "m": floats(0.0, 1e6, exclude_min=True),
     "normalize_data_block_only": booleans(),

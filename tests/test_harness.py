@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ class TestConfigValidation:
 
     def test_digest_changes_with_seed(self):
         assert SimulationConfig(seed=1).digest() != SimulationConfig(seed=2).digest()
+
+    def test_digest_changes_with_every_field(self):
+        changed = {
+            "tx_antennas": 4, "pool_users": 10, "active_users": 4, "snr_db": (14.0,),
+            "schemes": tuple(SchemeMode.from_label(s, u=2.0) for s in precoder.LABELS),
+            "realizations": 999, "frames": 9, "symbols_per_frame": 99, "seed": 1,
+            "snr_offset_db": 0.5, "normalize_data_block_only": True,
+        }
+        assert set(changed) == {f.name for f in fields(SimulationConfig)}
+        base = SimulationConfig().digest()
+        for name, value in changed.items():
+            assert SimulationConfig(**{name: value}).digest() != base, name
+
+    def test_default_digest_is_pinned(self):
+        assert SimulationConfig().digest() == (
+            "b62a6146c6f768b8ecbc5f5edf9fafc097524fd43a7f7bd9d567a44298a03309")
 
 
 class TestRunPoint:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ class TestSchemeMode:
     def test_unknown_label(self):
         with pytest.raises(ConfigurationError):
             SchemeMode.from_label("DPC")
+
+    @pytest.mark.parametrize("label,u,m,message", [
+        ("ULZFP", 0.0, 1.0, "scheme ULZFP needs u > 0 (u = 0 makes it LZFP)"),
+        ("LMMSEP", 1.0, 0.0, "scheme LMMSEP needs m > 0 (m = 0 makes it LZFP)"),
+        ("ULMMSEP", 0.0, 0.0, "scheme ULMMSEP needs u > 0 and m > 0"),
+    ])
+    def test_label_rejects_a_zero_weight_it_needs(self, label, u, m, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            SchemeMode.from_label(label, u=u, m=m)
 
     def test_negative_parameters(self):
         with pytest.raises(ConfigurationError):
