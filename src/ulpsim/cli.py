@@ -50,6 +50,13 @@ def _labels(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
 
 
+def _workers(raw: str) -> int:
+    workers = int(raw)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _one(read):
     """Reader of a list key given one value (point's --scheme, --point-snr): a 1-tuple."""
     def one(raw):
@@ -263,7 +270,7 @@ def make_parser() -> argparse.ArgumentParser:
                          type=KNOWN_KEYS["symbols_per_frame"], help="symbol vectors per frame")
         cmd.add_argument("--snr-offset-db", type=KNOWN_KEYS["snr_offset_db"],
                          help="global SNR calibration offset")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
+        cmd.add_argument("--workers", type=_workers, default=1, help="parallel workers")
 
     sweep.add_argument("--snr", dest="snr_db", type=KNOWN_KEYS["snr_db"],
                        help="comma-separated SNR list in dB")

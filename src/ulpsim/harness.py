@@ -26,10 +26,15 @@ from .errors import ConfigurationError, SingularMatrixError
 from .randomness import bit_pairs, box_muller, snr_key, start_stream, stream_keys, uniforms
 
 LOW_CONFIDENCE_ERRORS = 10
-# Entries per block array of the realization engine (see _range_errors). Small
-# enough that a block's arrays stay in cache, large enough that the per-call
-# overhead of each numpy stage is shared by many realizations or frames.
+# Entries per array of the realization engine (see _range_errors): a block's
+# stacked pools, and one realization's share of a frame group. Small enough
+# that the arrays stay in cache, large enough that the per-call overhead of
+# each numpy stage is shared by many realizations or frames.
 BLOCK_ENTRIES = 2048
+# A block's frame group, over all its realizations, holds at most this many
+# times BLOCK_ENTRIES entries (or one frame of one realization), so a small
+# pool cannot fill a block with more frames than memory should hold.
+FRAME_GROUP_BLOCKS = 16
 # Realizations whose Philox keys are derived in one stream_keys call: enough
 # to share its fixed cost, few enough that a huge range needs little memory.
 KEY_SPAN = 4096
@@ -158,32 +163,36 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, stop: int) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
 
-    Whole realizations share a block while each of their complex arrays (the
-    pool, or all frames' symbols) fits in BLOCK_ENTRIES entries; a
-    realization that does not fit is a block of its own, its frames taken in
-    groups that fit.
+    A block holds as many realizations as fit their pools in BLOCK_ENTRIES
+    entries and their frame groups in FRAME_GROUP_BLOCKS * BLOCK_ENTRIES
+    (at least one). Key derivation, the pool draw, user selection and the
+    precoder build run once per block on stacked arrays. The frame stage
+    then walks the block's frames in groups: as many frames as fit one
+    realization's symbols in BLOCK_ENTRIES entries (at least one), taken for
+    all the block's realizations at once.
 
     Draw phase: the Philox keys of up to KEY_SPAN realizations are derived
     at once, and each realization's stream is read as raw 64-bit words in a
     fixed layout: the pool's u1 and u2 (n_pool * n_tx words each), then per
     frame k * n_sym bit words, k * n_sym noise u1 and k * n_sym noise u2.
-    A realization of a shared block takes all its words in one call; a
-    realization whose frames are split takes its pool and first frame group
-    in one call and each later group in one more. The layout is the order in
-    which derived_stream's generator draws them (draw_user_pool, then per
-    frame integers(0, 2) and draw_awgn), so counts do not depend on the
-    blocking. Compute phase: everything else runs once per block on stacked
-    arrays.
+    Each realization takes its pool and first frame group in one call, so a
+    realization whose frames fit one group takes all its words in one call.
+    Each later group is read from the stream word where it starts. The
+    layout is the order in which derived_stream's generator draws them
+    (draw_user_pool, then per frame integers(0, 2) and draw_awgn), so counts
+    do not depend on the blocking.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
     per_frame = k * n_sym
     group = min(config.frames, max(1, BLOCK_ENTRIES // per_frame))
-    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, config.frames * per_frame))
+    per_block = max(1, min(BLOCK_ENTRIES // (n_pool * n_tx),
+                           FRAME_GROUP_BLOCKS * BLOCK_ENTRIES // (group * per_frame)))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     philox = np.random.Philox(0)
     pool_words = 2 * n_pool * n_tx
-    words = np.empty((per_block, pool_words + 3 * group * per_frame), dtype=np.uint64)
+    words = np.empty((min(per_block, stop - start), pool_words + 3 * group * per_frame),
+                     dtype=np.uint64)
     errors = 0
     for first, keys in _block_keys(config.seed, snr_db, start, stop, per_block):
         n_real = len(keys)
@@ -202,9 +211,10 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             n_frames = min(group, config.frames - done)
             frame_words = words[:n_real, pool_words:pool_words + 3 * n_frames * per_frame]
             if done:
-                # Frames split only in a block of one realization, whose
-                # stream philox still holds.
-                frame_words[0] = philox.random_raw(frame_words.shape[1])
+                word = pool_words + 3 * done * per_frame
+                for i, key in enumerate(keys):
+                    frame_words[i] = start_stream(philox, key, word).random_raw(
+                        frame_words.shape[1])
             frame_words = frame_words.reshape(n_real, n_frames, 3, per_frame)
             # One realization's frames side by side as (k, n_frames * n_sym)
             # columns. A frame's bit words hold its symbols in (symbol, user)

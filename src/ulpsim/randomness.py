@@ -9,8 +9,8 @@ identical across platforms.
 `derived_stream` is the reference form of a stream. The harness reads the
 same streams as raw 64-bit Philox words: `stream_keys` derives the Philox
 keys of many realizations at once, `start_stream` points one reused Philox
-at a key, and `uniforms` and `bit_pairs` decode words exactly as
-`Generator.random` and `Generator.integers(0, 2)` would.
+at any word of a key's stream, and `uniforms` and `bit_pairs` decode words
+exactly as `Generator.random` and `Generator.integers(0, 2)` would.
 """
 
 from __future__ import annotations
@@ -102,14 +102,19 @@ def stream_keys(master_seed: int, key: int, indices) -> np.ndarray:
     return keys
 
 
-def start_stream(philox: np.random.Philox, key) -> np.random.Philox:
-    """Point a reused Philox at the start of the stream of key, a stream_keys row.
+def start_stream(philox: np.random.Philox, key, word: int = 0) -> np.random.Philox:
+    """Point a reused Philox at word `word` of the stream of key, a stream_keys row.
 
     Its words are then those of the bit generator of the matching
-    derived_stream, from the first on. Returns philox.
+    derived_stream, from word `word` on. Philox makes 4 words per counter
+    value, so the counter is set to word // 4 and the first word % 4 words
+    of that value are discarded. Returns philox.
     """
-    philox.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+    philox.state = {"bit_generator": "Philox",
+                    "state": {"counter": (word // 4, 0, 0, 0), "key": key},
                     "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if word % 4:
+        philox.random_raw(word % 4)
     return philox
 
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +214,7 @@ class TestMain:
         assert captured.err.startswith("configuration error: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
-        assert not (tmp_path / "x" / "results.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text,message", [
         ("u = 0\n", "scheme ULZFP needs u > 0 (u = 0 makes it LZFP)"),
@@ -224,7 +228,7 @@ class TestMain:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"configuration error: {message.format(cfg=cfg)}\n"
-        assert not (tmp_path / "x" / "results.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag, capsys):
@@ -232,6 +236,14 @@ class TestMain:
             cli.main([flag])
         assert exit_info.value.code == 0
         assert "ulpsim" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "ulpsim", "--version"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0
+        assert done.stdout.startswith("ulpsim ")
 
     @pytest.mark.parametrize("column,value,message", [
         ("u", None, "missing column 'u'"),
@@ -275,7 +287,9 @@ class TestMain:
         monkeypatch.setattr(cli, "run_sweep", boom)
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 2
 
-    def test_io_error_exit_code(self, tmp_path):
+    def test_io_error_exit_code(self, monkeypatch, tmp_path):
+        # An --out that cannot be made fails before the sweep runs.
+        monkeypatch.setattr(cli, "run_sweep", lambda config, workers=1: pytest.fail("ran"))
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(blocker / "sub")]) == 3

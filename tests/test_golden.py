@@ -1,9 +1,12 @@
 """Behaviour-preservation gate: the output files of pinned sweeps, byte for byte.
 
 A refactor that keeps the random-stream layout and the arithmetic must leave
-every hash below unchanged, at any worker count. Besides the default-shape
-sweep, one sweep spans many blocks of whole realizations and one splits
-each realization's frames into groups (see harness.BLOCK_ENTRIES).
+every hash below unchanged, at any worker count. With 2048 block entries
+(see harness._range_errors), the 20-realization sweep makes blocks of 12
+and 8 realizations whose frames are taken 2 at a time; the 600x1x1 sweep
+spans 50 blocks of 12 realizations, each reading all its words in one call;
+and the 3x7x700 sweep puts its 3 realizations in one block whose frames are
+taken 1 at a time, each frame read from its offset in every stream.
 """
 
 import hashlib

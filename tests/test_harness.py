@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -104,8 +105,9 @@ class TestRunPoint:
         assert record.bit_errors == 0
 
     # TINY's realizations carry 160 pool entries and 2 frames of 80 symbols:
-    # 1 splits every realization's frames, 400 gives blocks of 2
-    # realizations, and 2048, 8192 and 10**6 one block of all 6.
+    # 1 gives blocks of 1 realization, their frames taken 1 at a time; 400
+    # gives blocks of 2 realizations, and 2048, 8192 and 10**6 one block of
+    # all 6, each realization's words in one call.
     @pytest.mark.parametrize("label", ["LZFP", "ULMMSEP"])
     @pytest.mark.parametrize("block_entries", [1, 400, 2048, 8192, 10**6])
     def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
@@ -116,6 +118,40 @@ class TestRunPoint:
         assert sum(_range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
         assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
         assert 0 < whole <= TINY.bits_per_point
+
+    # 14 realizations of 3 frames of 800 symbols, with 160 pool entries each:
+    # 1 gives blocks of 1 realization and 900 blocks of 5, both taking frames
+    # 1 at a time; 2048 gives blocks of 12 and 2 taking frames 2 at a time,
+    # and 8192 one block whose realizations take all their words in one call.
+    # Every frame group after the first is read at its stream offset.
+    @pytest.mark.parametrize("block_entries", [1, 900, 2048, 8192])
+    def test_split_frames_of_many_realizations_match_reference(self, monkeypatch,
+                                                               block_entries):
+        config = SimulationConfig(realizations=14, frames=3, symbols_per_frame=100, seed=5)
+        scheme = SchemeMode.from_label("LMMSEP")
+        expected = reference_errors(config, scheme, 4.0, 0, 14)
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+        assert _range_errors(config, scheme, 4.0, 0, 14) == expected > 0
+        parts = [(0, 3), (3, 13), (13, 14)]
+        assert sum(_range_errors(config, scheme, 4.0, a, b) for a, b in parts) == expected
+
+    # One tx antenna serving 1 of 1 users: the pools of all 16 realizations
+    # fit in one block, their 20000-symbol frames do not, so the range is
+    # taken a realization at a time and needs no more memory than one of them.
+    def test_long_frames_of_a_small_pool_take_one_realization_at_a_time(self):
+        config = SimulationConfig(tx_antennas=1, pool_users=1, active_users=1,
+                                  realizations=16, frames=2, symbols_per_frame=20000, seed=3)
+        scheme = SchemeMode.from_label("LZFP")
+
+        def peak_bytes(stop):
+            tracemalloc.start()
+            try:
+                _range_errors(config, scheme, 10.0, 0, stop)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(16) < 2 * peak_bytes(1)
 
     # Keys for one block at a time, or for the first 4 realizations and then 2.
     @pytest.mark.parametrize("key_span", [1, 4])
@@ -182,9 +218,9 @@ def reference_errors(config, scheme, snr_db, start, stop):
 class TestRangeErrorsMatchReference:
     """The raw-word engine against the per-realization draws it replaces.
 
-    With 2048 block entries, 20x10x100 takes a realization's frames 2 at a
-    time, 600x1x1 puts 12 realizations in a block and 3x7x700 takes 1 frame
-    at a time.
+    With 2048 block entries, 20x10x100 makes blocks of 12 and 8 realizations
+    with frames taken 2 at a time, 600x1x1 puts 12 realizations in a block,
+    and 3x7x700 puts all 3 in one block with frames taken 1 at a time.
     """
 
     @pytest.mark.parametrize("shape,seed,snr_db,offset,label,data_block_only", [
@@ -204,6 +240,19 @@ class TestRangeErrorsMatchReference:
         errors = _range_errors(config, scheme, snr_db, 0, realizations)
         assert errors == reference_errors(config, scheme, snr_db, 0, realizations)
         assert errors > 0
+
+    # 3 tx antennas and 5 pool users: 30 pool words, then frames of 3159
+    # words, so frames 1 to 4 start at words 3189, 6348, 9507 and 12666,
+    # which are 1, 0, 3 and 2 past a multiple of 4. With 1 or 2048 block
+    # entries every frame after the first is read at its own offset.
+    @pytest.mark.parametrize("block_entries", [1, 2048, 10**6])
+    def test_unaligned_stream_offsets(self, monkeypatch, block_entries):
+        config = SimulationConfig(tx_antennas=3, active_users=3, pool_users=5,
+                                  realizations=4, frames=5, symbols_per_frame=351, seed=11)
+        scheme = SchemeMode.from_label("ULMMSEP")
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
+        errors = _range_errors(config, scheme, 0.0, 0, 4)
+        assert errors == reference_errors(config, scheme, 0.0, 0, 4) > 0
 
     def test_exact_zero_decides_bit_zero(self, monkeypatch):
         # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent is an error.

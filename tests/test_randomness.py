@@ -44,6 +44,14 @@ def test_started_stream_is_derived_stream():
         assert np.array_equal(start_stream(philox, key).random_raw(50), expected)
 
 
+@pytest.mark.parametrize("word", [0, 1, 3, 4, 321])
+def test_stream_started_at_a_word_is_derived_stream_from_that_word(word):
+    expected = derived_stream(42, 14000, 5).bit_generator.random_raw(word + 50)[word:]
+    key = stream_keys(42, 14000, [5]).tolist()[0]
+    started = start_stream(np.random.Philox(0), key, word)
+    assert np.array_equal(started.random_raw(50), expected)
+
+
 def test_uniforms_match_generator_random():
     words = derived_stream(7, 1, 2).bit_generator.random_raw(1000)
     assert np.array_equal(uniforms(words), derived_stream(7, 1, 2).random(1000))
