@@ -20,6 +20,7 @@ from . import __version__
 from .errors import ConfigurationError
 from .harness import BerRecord, BerTable, SimulationConfig, run_point, run_sweep
 from .precoder import LABELS, SchemeMode
+from .randomness import STREAM_LAYOUT
 
 # Table-style pairwise comparisons emitted per SNR: conventional pair, the
 # same pair reached through the unified family at u=0, and the u>0 pair.
@@ -174,7 +175,7 @@ def emit_run_log(table: BerTable, path: str | Path) -> None:
                 "ber": r.ber, "std_err": r.standard_error,
                 "low_confidence": r.low_confidence,
                 "seed": table.config.seed, "config_sha256": digest,
-                "version": table.version,
+                "version": table.version, "stream_layout": STREAM_LAYOUT,
             }, sort_keys=True) + "\n")
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import bit_pairs, box_muller, snr_key, start_stream, stream_keys, uniforms
+from .randomness import (STREAM_LAYOUT, bit_pairs, box_muller, snr_key, start_stream,
+                         stream_keys, uniforms)
 
 LOW_CONFIDENCE_ERRORS = 10
 # Entries per array of the realization engine (see _range_errors): a block's
@@ -90,9 +91,14 @@ class SimulationConfig:
                 * self.active_users * 2)
 
     def digest(self) -> str:
-        """Stable hash of every field, for provenance logs; a scheme counts as [u, m]."""
+        """Stable hash of every field and the stream layout, for provenance logs.
+
+        A scheme counts as [u, m]. The layout is not a field: one program
+        draws in one layout, but a config's results differ between layouts.
+        """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["schemes"] = [[s.u, s.m] for s in self.schemes]
+        payload["stream_layout"] = STREAM_LAYOUT
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 

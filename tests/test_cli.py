@@ -10,6 +10,7 @@ import pytest
 from ulpsim import cli
 from ulpsim.errors import ConfigurationError
 from ulpsim.harness import SimulationConfig, run_sweep
+from ulpsim.randomness import STREAM_LAYOUT
 
 TINY_FLAGS = ["--realizations", "3", "--frames", "1", "--symbols", "5", "--seed", "42"]
 
@@ -120,6 +121,7 @@ class TestEmitters:
         assert entry["seed"] == table.config.seed
         assert entry["config_sha256"] == table.config.digest()
         assert entry["ber"] == table.records[0].ber
+        assert {json.loads(line)["stream_layout"] for line in lines} == {STREAM_LAYOUT}
 
 
 # Invalid command lines, each with a fragment of its one-line message. New

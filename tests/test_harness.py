@@ -87,9 +87,14 @@ class TestConfigValidation:
         for name, value in changed.items():
             assert SimulationConfig(**{name: value}).digest() != base, name
 
+    def test_digest_changes_with_stream_layout(self, monkeypatch):
+        base = SimulationConfig().digest()
+        monkeypatch.setattr(harness, "STREAM_LAYOUT", harness.STREAM_LAYOUT + 1)
+        assert SimulationConfig().digest() != base
+
     def test_default_digest_is_pinned(self):
         assert SimulationConfig().digest() == (
-            "b62a6146c6f768b8ecbc5f5edf9fafc097524fd43a7f7bd9d567a44298a03309")
+            "1e284943f48e4d1b96a4db420b45287774aad3f65d7a81e7989c46290d5955d1")
 
 
 class TestRunPoint:
@@ -305,6 +310,29 @@ class TestRunSweep:
         a = run_sweep(cfg)
         b = run_sweep(cfg, workers=2)
         assert [r.bit_errors for r in a.records] == [r.bit_errors for r in b.records]
+
+    def test_sweep_calls_run_point_once_per_cell(self, monkeypatch):
+        """run_sweep looks run_point up as a module global once per (SNR, scheme).
+
+        The benchmark in bench/ times those calls: its closed loop runs until
+        it has seen a minimum number of them (MIN_CALLS), and point_ms_p50 is
+        their median latency. A sweep that stopped calling run_point would
+        make that loop run forever, so the calls stay until the benchmark
+        measures sweeps some other way.
+        """
+        calls = []
+        original = harness.run_point
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_point", counted)
+        cfg = SimulationConfig(realizations=2, frames=1, symbols_per_frame=4,
+                               snr_db=(10.0, 20.0))
+        table = run_sweep(cfg)
+        assert len(calls) == len(cfg.snr_db) * len(cfg.schemes) == len(table.records)
+        assert len(set(calls)) == len(calls)
 
 
 class TestBerGap:

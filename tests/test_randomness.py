@@ -1,11 +1,14 @@
-"""Raw-word streams against numpy's own seeding and Generator decoders."""
+"""Raw-word streams against numpy's own seeding and Generator decoders, and
+the Box-Muller transform of stream layout 2."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ulpsim.modem import QPSK_SYMBOLS, qpsk_modulate
 from ulpsim.randomness import (
     bit_pairs,
+    box_muller,
     derived_stream,
     start_stream,
     stream_keys,
@@ -74,3 +77,47 @@ def test_draws_after_bits_stay_aligned():
     words = derived_stream(9, 8, 7).bit_generator.random_raw(8)
     assert np.array_equal(bit_pairs(words[:5]), bits[0::2] + 2 * bits[1::2])
     assert np.array_equal(uniforms(words[5:]), after)
+
+
+def test_box_muller_does_not_depend_on_batching():
+    # The harness transforms strided (n_real, n_frames, k, n_sym) views of
+    # its noise uniforms, the reference path contiguous (k, n_sym) arrays;
+    # lengths 1-79 cover every SIMD tail of the float32 cos and sin.
+    for n_sym in range(1, 80):
+        u = derived_stream(5, n_sym).random((2, 2, 2, 3, n_sym))
+        u1, u2 = u[:, :, 0], u[:, :, 1]
+        batched = box_muller(u1, u2, 0.3)
+        for i in range(2):
+            for j in range(2):
+                sliced = box_muller(u1[i, j].copy(), u2[i, j].copy(), 0.3)
+                assert np.array_equal(batched[i, j], sliced), n_sym
+        entries = [box_muller(a[None], b[None], 0.3)[0]
+                   for a, b in zip(u1.ravel(), u2.ravel())]
+        assert np.array_equal(batched.ravel(), entries), n_sym
+
+
+def test_box_muller_radius_keeps_float64_tail():
+    u1 = np.full(1000, 1.0 - 2.0**-53)
+    u2 = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    z = box_muller(u1, u2, 2.0)
+    assert np.allclose(np.abs(z), radius, rtol=1e-6, atol=0.0)
+    # A zero phase has cos 1 and sin 0 in float32 too, so the radius is exact.
+    assert z[0] == radius[0]
+
+
+def test_box_muller_is_cn_distributed():
+    variance = 2.5
+    u = derived_stream(11, 3).random((2, 2**20))
+    z = box_muller(u[0], u[1], variance)
+    phase = np.angle(z) / (2 * np.pi) % 1.0
+    assert stats.kstest(phase, "uniform").pvalue > 0.01
+    assert stats.kstest(np.abs(z) ** 2 / variance, "expon").pvalue > 0.01
+    assert np.mean(np.abs(z) ** 2) == pytest.approx(variance, rel=0.01)
+
+
+def test_box_muller_dtype_and_zero_variance():
+    u = derived_stream(1, 2).random((2, 4, 7))
+    assert box_muller(u[0], u[1], 1.0).dtype == np.complex128
+    zeros = box_muller(u[0], u[1], 0.0)
+    assert zeros.dtype == np.complex128 and zeros.shape == (4, 7) and not zeros.any()
