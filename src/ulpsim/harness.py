@@ -1,11 +1,11 @@
 """Deterministic Monte Carlo BER sweeps over SNR x scheme.
 
-Each channel realization gets its own counter-derived random stream keyed on
-(master seed, SNR, realization index), so error counts are a pure function
-of the configuration: any worker count, any scheduling order, same table.
-The stream is read as raw Philox words in a fixed per-realization layout
-(pool, then each frame's bits and noise; see _range_errors), the same words
-that randomness.derived_stream's generator would draw.
+Each channel realization gets its own counter-based random stream: the
+Philox key comes from (master seed, SNR) and the realization index goes in
+the counter, so error counts are a pure function of the configuration: any
+worker count, any scheduling order, same table. The stream is read as raw
+Philox words in a fixed per-realization layout (pool, then each frame's bits
+and noise; see _range_errors), the same words derived_stream would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
 BER gaps are paired comparisons and reduction gaps are exactly zero.
@@ -24,7 +24,7 @@ from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
 from .randomness import (STREAM_LAYOUT, bit_pairs, box_muller, snr_key, start_stream,
-                         stream_keys, uniforms)
+                         stream_key, uniforms)
 
 LOW_CONFIDENCE_ERRORS = 10
 # Entries per array of the realization engine (see _range_errors): a block's
@@ -36,9 +36,6 @@ BLOCK_ENTRIES = 2048
 # times BLOCK_ENTRIES entries (or one frame of one realization), so a small
 # pool cannot fill a block with more frames than memory should hold.
 FRAME_GROUP_BLOCKS = 16
-# Realizations whose Philox keys are derived in one stream_keys call: enough
-# to share its fixed cost, few enough that a huge range needs little memory.
-KEY_SPAN = 4096
 
 
 @dataclass(frozen=True)
@@ -155,32 +152,23 @@ def _snr_stream_key(snr_db: float, offset_db: float) -> int:
         f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
-def _block_keys(seed: int, snr_db: float, start: int, stop: int, per_block: int):
-    """(first, keys) per block of [start, stop): each realization's Philox key as two ints."""
-    span = per_block * max(1, KEY_SPAN // per_block)
-    for low in range(start, stop, span):
-        keys = stream_keys(seed, snr_key(snr_db),
-                           np.arange(low, min(low + span, stop), dtype=np.uint64))
-        for i in range(0, len(keys), per_block):
-            yield low + i, keys[i:i + per_block].tolist()
-
-
 def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, stop: int) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
 
     A block holds as many realizations as fit their pools in BLOCK_ENTRIES
     entries and their frame groups in FRAME_GROUP_BLOCKS * BLOCK_ENTRIES
-    (at least one). Key derivation, the pool draw, user selection and the
-    precoder build run once per block on stacked arrays. The frame stage
-    then walks the block's frames in groups: as many frames as fit one
-    realization's symbols in BLOCK_ENTRIES entries (at least one), taken for
-    all the block's realizations at once.
+    (at least one). The pool draw, user selection and the precoder build run
+    once per block on stacked arrays. The frame stage then walks the block's
+    frames in groups: as many frames as fit one realization's symbols in
+    BLOCK_ENTRIES entries (at least one), taken for all the block's
+    realizations at once.
 
-    Draw phase: the Philox keys of up to KEY_SPAN realizations are derived
-    at once, and each realization's stream is read as raw 64-bit words in a
-    fixed layout: the pool's u1 and u2 (n_pool * n_tx words each), then per
-    frame k * n_sym bit words, k * n_sym noise u1 and k * n_sym noise u2.
+    Draw phase: the Philox key of (seed, SNR) is derived once per call, and
+    realization r reads stream r of that key (r in the counter) as raw
+    64-bit words in a fixed layout: the pool's u1 and u2 (n_pool * n_tx
+    words each), then per frame k * n_sym bit words, k * n_sym noise u1 and
+    k * n_sym noise u2.
     Each realization takes its pool and first frame group in one call, so a
     realization whose frames fit one group takes all its words in one call.
     Each later group is read from the stream word where it starts. The
@@ -199,11 +187,12 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     pool_words = 2 * n_pool * n_tx
     words = np.empty((min(per_block, stop - start), pool_words + 3 * group * per_frame),
                      dtype=np.uint64)
+    key = stream_key(config.seed, snr_key(snr_db))
     errors = 0
-    for first, keys in _block_keys(config.seed, snr_db, start, stop, per_block):
-        n_real = len(keys)
-        for i, key in enumerate(keys):
-            words[i] = start_stream(philox, key).random_raw(words.shape[1])
+    for first in range(start, stop, per_block):
+        n_real = min(per_block, stop - first)
+        for i in range(n_real):
+            words[i] = start_stream(philox, key, first + i).random_raw(words.shape[1])
         pool_u = uniforms(words[:n_real, :pool_words]).reshape(n_real, 2, n_pool, n_tx)
         h = chan.select_users(box_muller(pool_u[:, 0], pool_u[:, 1], 1.0), k)
         try:
@@ -218,8 +207,8 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             frame_words = words[:n_real, pool_words:pool_words + 3 * n_frames * per_frame]
             if done:
                 word = pool_words + 3 * done * per_frame
-                for i, key in enumerate(keys):
-                    frame_words[i] = start_stream(philox, key, word).random_raw(
+                for i in range(n_real):
+                    frame_words[i] = start_stream(philox, key, first + i, word).random_raw(
                         frame_words.shape[1])
             frame_words = frame_words.reshape(n_real, n_frames, 3, per_frame)
             # One realization's frames side by side as (k, n_frames * n_sym)

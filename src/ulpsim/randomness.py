@@ -1,123 +1,64 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
-Every work unit derives its own Philox generator from a master seed plus a
-tuple of integer keys, so results never depend on worker count or execution
-order. Gaussian variates come from a Box-Muller transform with a fixed
-consumption of two uniforms per complex entry, which keeps stream alignment
-identical across platforms. The transform takes its radius in float64, so
-the tails stay exact, and its phase in float32, whose SIMD `cos`/`sin` cost
-a fraction of the float64 ones; STREAM_LAYOUT versions this choice.
+Philox is keyed and counter-based (Salmon et al., SC'11): a master seed and
+an optional integer key give a Philox key, and a work unit's index goes in
+the counter, so results never depend on worker count or execution order.
+Gaussian variates come from a Box-Muller transform with a fixed consumption
+of two uniforms per complex entry, which keeps stream alignment identical
+across platforms. The transform takes its radius in float64, so the tails
+stay exact, and its phase in float32, whose SIMD `cos`/`sin` cost a
+fraction of the float64 ones; STREAM_LAYOUT versions these choices.
 
 `derived_stream` is the reference form of a stream. The harness reads the
-same streams as raw 64-bit Philox words: `stream_keys` derives the Philox
-keys of many realizations at once, `start_stream` points one reused Philox
-at any word of a key's stream, and `uniforms` and `bit_pairs` decode words
-exactly as `Generator.random` and `Generator.integers(0, 2)` would.
+same streams as raw 64-bit Philox words: `start_stream` points one reused
+Philox at any word of any indexed stream of a `stream_key`, and `uniforms`
+and `bit_pairs` decode words exactly as `Generator.random` and
+`Generator.integers(0, 2)` would.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-# numpy's SeedSequence constants: entropy hashing into the 4-word pool (A),
-# pool mixing, and hashing the pool out into state words (B).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _ZEROS4 = (0, 0, 0, 0)
 # Version of the mapping from a seed to the values drawn from it, written to
 # the config digest and to every run_log.jsonl line. Layout 2 took the
-# Box-Muller phase in float32; the words each draw consumes are as in 1.
-STREAM_LAYOUT = 2
+# Box-Muller phase in float32. Layout 3 keys a stream once per (seed, key)
+# and puts the realization index in the second Philox counter word.
+STREAM_LAYOUT = 3
 
 
-def derived_stream(master_seed: int, *keys: int) -> np.random.Generator:
-    """Generator keyed on (master_seed, *keys); identical keys, identical stream."""
-    entropy = [master_seed & _MASK64] + [int(k) & _MASK64 for k in keys]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def stream_key(master_seed: int, key: int | None = None) -> np.ndarray:
+    """Philox's uint64 key pair from SeedSequence([master_seed, key]), each masked
+    to 64 bits; a key of None is left out."""
+    entropy = [master_seed & _MASK64] + ([] if key is None else [int(key) & _MASK64])
+    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
 
 
-def _words32(value: int) -> list[int]:
-    """A nonnegative int as SeedSequence reads it: 32-bit words, low first, at least one."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+def derived_stream(master_seed: int, key: int | None = None,
+                   index: int = 0) -> np.random.Generator:
+    """Generator of stream `index` of (master_seed, key): Philox counters (n, index, 0, 0).
 
-
-def _hash(value, hash_const: int, mult: int):
-    """SeedSequence's hashmix step; value is an int or a uint64 array of 32-bit words."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _philox_key(entropy: list):
-    """SeedSequence(entropy).generate_state(2, np.uint64) for 32-bit entropy words.
-
-    Words shared by every stream stay Python ints; the ones that differ per
-    stream are uint64 arrays, so the pool turns into arrays only where they
-    enter it.
+    Two streams of one key could meet only after 2**66 words. At index 0 this
+    is Generator(Philox(SeedSequence([master_seed, key]))).
     """
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        value, hash_const = _hash(entropy[i] if i < len(entropy) else 0, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hash(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hash(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    hash_const = _INIT_B
-    state = []
-    for value in pool:
-        value, hash_const = _hash(value, hash_const, _MULT_B)
-        state.append(value)
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+    # Philox's constructor reads Python ints through float64; uint64 arrays stay exact.
+    counter = np.array([0, index, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, key), counter=counter))
 
 
-def stream_keys(master_seed: int, key: int, indices) -> np.ndarray:
-    """Philox keys of derived_stream(master_seed, key, r) for each r in indices.
+def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
+                 word: int = 0) -> np.random.Philox:
+    """Point a reused Philox at word `word` of stream `index` of key, a stream_key.
 
-    Returns an (n, 2) uint64 array: row i is the key that the SeedSequence
-    of [master_seed, key, indices[i]] (each masked to 64 bits) gives Philox.
-    indices must lie in [0, 2**64).
-    """
-    r = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    shared = _words32(master_seed & _MASK64) + _words32(int(key) & _MASK64)
-    keys = np.empty((r.size, 2), dtype=np.uint64)
-    # An index of 2**32 or more is two entropy words, which changes the hashing.
-    for rows, n_words in ((r <= _MASK32, 1), (r > _MASK32, 2)):
-        if rows.any():
-            words = [r[rows] & _MASK32, r[rows] >> 32][:n_words]
-            keys[rows, 0], keys[rows, 1] = _philox_key(shared + words)
-    return keys
-
-
-def start_stream(philox: np.random.Philox, key, word: int = 0) -> np.random.Philox:
-    """Point a reused Philox at word `word` of the stream of key, a stream_keys row.
-
-    Its words are then those of the bit generator of the matching
-    derived_stream, from word `word` on. Philox makes 4 words per counter
-    value, so the counter is set to word // 4 and the first word % 4 words
-    of that value are discarded. Returns philox.
+    Its words are then those of derived_stream's bit generator from word
+    `word` on: Philox makes 4 words per counter value, so the counter is set
+    to (word // 4, index, 0, 0) and the first word % 4 words are discarded.
+    Returns philox.
     """
     philox.state = {"bit_generator": "Philox",
-                    "state": {"counter": (word // 4, 0, 0, 0), "key": key},
+                    "state": {"counter": (word // 4, index, 0, 0), "key": key},
                     "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     if word % 4:
         philox.random_raw(word % 4)

@@ -11,7 +11,10 @@ taken 1 at a time, each frame read from its offset in every stream.
 Each run_log.jsonl line holds the config digest and the stream layout
 (randomness.STREAM_LAYOUT), so a new layout changes its hash. Layout 2, the
 float32 Box-Muller phase, left the counts of these sweeps, and so the hashes
-of results.csv, gaps.csv and plot.csv, as they were in layout 1.
+of results.csv, gaps.csv and plot.csv, as they were in layout 1. Layout 3
+keys each SNR's streams once and puts the realization index in the Philox
+counter, so every realization draws new values: it moved the counts, and
+every hash below.
 """
 
 import hashlib
@@ -21,24 +24,24 @@ import pytest
 from ulpsim import cli
 
 GOLDEN_SHA256 = {
-    "results.csv": "1b9e6f5024a731b3ef500b35dd311ffb3d284bfcd4c5158c95d3c0e89be98a4b",
-    "run_log.jsonl": "3581424d27063149b824877c307d096e12ec2106749bc7cdaeea709e64840e02",
-    "gaps.csv": "e349660b04f200490430ce855c9026e79af5947a46754930e7142113e2bdae3d",
-    "plot.csv": "144e1a6cc7448978ac7b7c36efcd859d3a8366833a0091d2a362a83807440bb2",
+    "results.csv": "53aeef59bddd2b054b847d90646d872265da77c30cf71119270e1cafdc46570b",
+    "run_log.jsonl": "c3d14141bb240b4e89652d570e7f51f65c3d0b43853a96ffbd41499bd7e43055",
+    "gaps.csv": "ca2b933fa63d666639adf7dc80f2c0bd7f77302f05e31f108c59c9ebfd8d5685",
+    "plot.csv": "237838d458627aebcc0a0a26a3bd00adf97eebc53e7b60d098a7f49daaa893e3",
 }
 
 MANY_BLOCKS_SHA256 = {
-    "results.csv": "9d160f2120d9f3534e644312bfef4d7890fa61b28c26bb35ecae3bc52c758ca0",
-    "run_log.jsonl": "130fae179b7bf9cf6978a38b9eb44139e587da2582ef3cad716baaa8b688fff9",
-    "gaps.csv": "88f8e42e6cc069514ff778e0a6be675d1b56603ab74305aa5cad7976bfd31f7d",
-    "plot.csv": "54645c716380aa49ffe66bce1884b69b3a1df5c17d2133083e176af053385b5b",
+    "results.csv": "63679394f673deec330ce25f35a637b07e20a11a80f9974182234f09268d8769",
+    "run_log.jsonl": "9592c45766b759abfb309e527f719cd254f16a28f623ec9847d105a06ad8bb49",
+    "gaps.csv": "cd2ebc1db14464d47c1955758b8c32bb7604e76c6265ac68b66b68ea108f6e11",
+    "plot.csv": "44c904f3df3e09a664fbc5874e52a2de124250d541d5d1072c66cc6a28185889",
 }
 
 SPLIT_FRAMES_SHA256 = {
-    "results.csv": "8532834ebb4b2f49c242b8860086ba830bc8c1d5b8b770de0bd75c43ee7ca48c",
-    "run_log.jsonl": "68bb4efef9fa930495647dcfcd62e83b86ceff32dbbdae9ec72c224e642cda5e",
-    "gaps.csv": "927e028011a08346b9b55422e88be16e1d5f38894f274ce457327db4153f5645",
-    "plot.csv": "e56da25a30dbad1cb8a97a9f38275cec70062349d3aa96d44d78e13a85cd95ad",
+    "results.csv": "576bb617c2a3769b6535171d0560da526c81abf8264e3e0791b31ec0ecf8299d",
+    "run_log.jsonl": "47c49492971bf62b99140e7de65a6e7709b59a03e8efb835074a0b2b89928cf1",
+    "gaps.csv": "0231048d1811b4e386edc9292cc7676a64eb5d078f144e0a8da99b3e9efdc1c8",
+    "plot.csv": "7ecb3cd246584547b925a330a7ae220dfc94585a2fcb81315da2fc725165b484",
 }
 
 

@@ -94,7 +94,7 @@ class TestConfigValidation:
 
     def test_default_digest_is_pinned(self):
         assert SimulationConfig().digest() == (
-            "1e284943f48e4d1b96a4db420b45287774aad3f65d7a81e7989c46290d5955d1")
+            "1f12d79fbd290d09c8403a2e811e4ed04b9289a78cb1ff214bc70c1d0e89a230")
 
 
 class TestRunPoint:
@@ -157,16 +157,6 @@ class TestRunPoint:
                 tracemalloc.stop()
 
         assert peak_bytes(16) < 2 * peak_bytes(1)
-
-    # Keys for one block at a time, or for the first 4 realizations and then 2.
-    @pytest.mark.parametrize("key_span", [1, 4])
-    def test_range_count_does_not_depend_on_key_span(self, monkeypatch, key_span):
-        scheme = SchemeMode.from_label("ULMMSEP")
-        whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
-        monkeypatch.setattr(harness, "KEY_SPAN", key_span)
-        for block_entries in (1, 400, 10**6):
-            monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
-            assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
 
     def test_singular_build_names_its_realization(self, monkeypatch):
         select = harness.chan.select_users
@@ -275,12 +265,13 @@ class TestRangeErrorsMatchReference:
         assert _range_errors(config, scheme, 10.0, 0, config.realizations) == ones > 0
 
     def test_indices_past_32_bits(self):
-        # Realization 2**32 is the first whose index takes two entropy words.
+        # A range across 2**53 + 1, the first index a float64 cannot hold,
+        # and one that ends at the last index, 2**64 - 1.
         config = SimulationConfig(frames=2, symbols_per_frame=50, seed=-1)
         scheme = SchemeMode.from_label("ULZFP")
-        errors = _range_errors(config, scheme, 0.0, 2**32 - 1, 2**32 + 1)
-        assert errors == reference_errors(config, scheme, 0.0, 2**32 - 1, 2**32 + 1)
-        assert errors > 0
+        for start, stop in ((2**53 - 1, 2**53 + 2), (2**64 - 3, 2**64)):
+            errors = _range_errors(config, scheme, 0.0, start, stop)
+            assert errors == reference_errors(config, scheme, 0.0, start, stop) > 0, start
 
 
 class TestRunSweep:

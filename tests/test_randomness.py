@@ -1,5 +1,5 @@
-"""Raw-word streams against numpy's own seeding and Generator decoders, and
-the Box-Muller transform of stream layout 2."""
+"""Raw-word streams of stream layout 3 against numpy's own seeding and
+Generator decoders, and the Box-Muller transform."""
 
 import numpy as np
 import pytest
@@ -11,48 +11,57 @@ from ulpsim.randomness import (
     box_muller,
     derived_stream,
     start_stream,
-    stream_keys,
+    stream_key,
     uniforms,
 )
 
 MASK64 = (1 << 64) - 1
-# 2**32 - 1 is the largest one-word index, 2**32 the smallest two-word one.
-INDICES = [0, 1, 2**32 - 1, 2**32]
+# 2**32 needs two 32-bit words, 2**53 + 1 is the first integer a float64
+# cannot hold, and 2**64 - 1 is the last index.
+INDICES = [0, 3, 2**32, 2**53 + 1, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**32, 2**63 + 5, -1])
-@pytest.mark.parametrize("key", [-5000, 30000])
-def test_stream_keys_match_seed_sequence(seed, key):
-    keys = stream_keys(seed, key, INDICES)
-    assert keys.dtype == np.uint64 and keys.shape == (len(INDICES), 2)
-    for row, r in zip(keys, INDICES):
-        entropy = [seed & MASK64, key & MASK64, r]
-        expected = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-        assert row.tolist() == expected.tolist(), r
+@pytest.mark.parametrize("key", [-5000, 30000, None])
+def test_stream_key_matches_seed_sequence(seed, key):
+    entropy = [seed & MASK64] + ([] if key is None else [key & MASK64])
+    expected = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    got = stream_key(seed, key)
+    assert got.dtype == np.uint64 and got.tolist() == expected.tolist()
 
 
-def test_stream_keys_keep_index_order_across_word_counts():
-    indices = [2**32 + 7, 5, 2**64 - 1, 2**32 - 1, 0]
-    keys = stream_keys(42, 14000, indices)
-    for row, r in zip(keys, indices):
-        assert row.tolist() == stream_keys(42, 14000, [r])[0].tolist()
-    assert len({tuple(row) for row in keys.tolist()}) == len(indices)
+# With one or two arguments, derived_stream draws the words that layouts 1
+# and 2 drew: those of a Philox seeded by SeedSequence(args).
+@pytest.mark.parametrize("args", [(0,), (42,), (-1,), (2**63 + 5,), (42, 20000), (7, 1),
+                                  (-1, -5000), (2**32, 30000)])
+def test_derived_stream_at_index_0_is_seed_sequence_stream(args):
+    entropy = [a & MASK64 for a in args]
+    expected = np.random.Philox(np.random.SeedSequence(entropy)).random_raw(100)
+    for rng in (derived_stream(*args), derived_stream(*args, index=0)):
+        assert np.array_equal(rng.bit_generator.random_raw(100), expected)
+
+
+def test_indexed_streams_do_not_overlap():
+    words = [derived_stream(42, 14000, r).bit_generator.random_raw(400) for r in range(4)]
+    assert len(set(np.concatenate(words).tolist())) == 1600
 
 
 def test_started_stream_is_derived_stream():
+    # One reused Philox, restarted at indices in any order, keeps no state.
     philox = np.random.Philox(0)
-    for r in (3, 2**32, 3):
+    key = stream_key(42, 14000)
+    for r in (3, 2**32, 3, 2**64 - 1, 0, 2**53 + 1):
         expected = derived_stream(42, 14000, r).bit_generator.random_raw(50)
-        key = stream_keys(42, 14000, [r]).tolist()[0]
-        assert np.array_equal(start_stream(philox, key).random_raw(50), expected)
+        assert np.array_equal(start_stream(philox, key, r).random_raw(50), expected), r
 
 
 @pytest.mark.parametrize("word", [0, 1, 3, 4, 321])
 def test_stream_started_at_a_word_is_derived_stream_from_that_word(word):
-    expected = derived_stream(42, 14000, 5).bit_generator.random_raw(word + 50)[word:]
-    key = stream_keys(42, 14000, [5]).tolist()[0]
-    started = start_stream(np.random.Philox(0), key, word)
-    assert np.array_equal(started.random_raw(50), expected)
+    key = stream_key(42, 14000)
+    for r in INDICES:
+        expected = derived_stream(42, 14000, r).bit_generator.random_raw(word + 50)[word:]
+        started = start_stream(np.random.Philox(0), key, r, word)
+        assert np.array_equal(started.random_raw(50), expected), r
 
 
 def test_uniforms_match_generator_random():
