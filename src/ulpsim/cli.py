@@ -76,7 +76,7 @@ KNOWN_KEYS = {
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value config file; unknown and repeated keys are errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -91,6 +91,8 @@ def read_config_file(path: str | Path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             values[key] = KNOWN_KEYS[key](raw)
         except ValueError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -236,18 +236,35 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
+    # One chunk per worker, none empty: a pool starts all its workers at once.
+    workers = min(workers, n)
     if workers == 1:
         errors = _range_errors(config, scheme, snr_db, 0, n)
     else:
+        # Read through the module, whose __getattr__ imports it on first use.
+        pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with pool_type(max_workers=workers) as pool:
             chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b))
-                      for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+                      for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
         scheme_label=scheme.label, u=scheme.u, m=scheme.m, snr_db=float(snr_db),
         bit_errors=errors, bits_total=config.bits_per_point,
     )
+
+
+def __getattr__(name: str):
+    """ProcessPoolExecutor, imported when first read.
+
+    Only workers > 1 needs it, so importing ulpsim skips multiprocessing. It
+    stays a module attribute that run_point reads, so that bench/tracing.py
+    can rebind it to trace the pools.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:

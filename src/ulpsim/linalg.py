@@ -3,6 +3,11 @@
 Callers pass complex128 arrays built by the simulator itself; values from
 outside are checked once, where the configuration enters. A leading batch
 axis stacks independent systems; a single 2-D system is the batch-of-one case.
+
+The accepted Cholesky path is numpy alone. scipy is imported by the LU
+fallback on its first use, so importing ulpsim does not load it: the
+fallback runs only for a matrix whose Cholesky pivot degenerates, which
+Rayleigh draws do not produce.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeError, SingularMatrixError
 
@@ -62,6 +66,8 @@ def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
 
 def _lu_solve(m: np.ndarray, b: np.ndarray, floor: float, index: int) -> np.ndarray:
     """Pivoted LU solve of one system; rejects it if a pivot is negligible relative to ‖A‖."""
+    import scipy.linalg
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m, check_finite=False)

@@ -222,7 +222,8 @@ class TestMain:
         ("u = 0\n", "scheme ULZFP needs u > 0 (u = 0 makes it LZFP)"),
         ("normalize_data_block_only = maybe\n",
          "{cfg}:1: key 'normalize_data_block_only': expected a boolean, got 'maybe'"),
-    ], ids=["u0", "bad_boolean"])
+        ("seed = 1\nrealizations = 3\n# seed = 4\nseed = 7\n", "{cfg}:4: repeated key 'seed'"),
+    ], ids=["u0", "bad_boolean", "repeated_key"])
     def test_bad_config_file_exits_1_naming_the_cause(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)

@@ -103,6 +103,34 @@ class TestRunPoint:
         records = [run_point(TINY, scheme, 10.0, workers=w) for w in (1, 2, 4)]
         assert len({r.bit_errors for r in records}) == 1
 
+    def test_pool_is_sized_to_its_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            """Records max_workers and runs each submission at once; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = concurrent.futures.Future()
+                done.set_result(fn(*args))
+                return done
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        scheme = SchemeMode.from_label("LZFP")
+        record = run_point(TINY, scheme, 10.0, workers=10**6)
+        assert sizes == [TINY.realizations]
+        assert record == run_point(TINY, scheme, 10.0, workers=1)
+
     def test_noiseless_zero_forcing_is_error_free(self):
         # SNR large enough that 10^(-snr/10) underflows to exactly 0.
         record = run_point(TINY, SchemeMode(0.0, 0.0), 4000.0)
