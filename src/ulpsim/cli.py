@@ -185,6 +185,8 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts.
 
     A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
+    A row must count 0 <= bit_errors <= bits_total with bits_total >= 1, and
+    its scheme must be the label its u and m make.
     """
     records = {}
     with open(path, newline="") as fh:
@@ -206,6 +208,22 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
                 raise ConfigurationError(
                     f"{path}:{reader.line_num}: repeated record for scheme "
                     f"{record.scheme_label} at {record.snr_db} dB")
+            where = f"{path}:{reader.line_num}"
+            if record.bits_total < 1:
+                raise ConfigurationError(
+                    f"{where}: bits_total must be >= 1, got {record.bits_total}")
+            if not 0 <= record.bit_errors <= record.bits_total:
+                raise ConfigurationError(
+                    f"{where}: bit_errors must be between 0 and bits_total "
+                    f"{record.bits_total}, got {record.bit_errors}")
+            try:
+                label = SchemeMode(record.u, record.m).label
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from exc
+            if label != record.scheme_label:
+                raise ConfigurationError(
+                    f"{where}: scheme {record.scheme_label} has u = {record.u}, "
+                    f"m = {record.m}, which make {label}")
             records[key] = record
     return list(records.values())
 

@@ -9,6 +9,11 @@ and noise; see _range_errors), the same words derived_stream would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
 BER gaps are paired comparisons and reduction gaps are exactly zero.
+
+Bits are decided on the received signal y = H F_data x + z itself. The
+receiver's gain control divides y by beta > 0, which changes no sign, so
+the decisions, and the counts, are those of qpsk_demodulate on
+transmit_receive's estimate y / beta.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import (STREAM_LAYOUT, bit_pairs, box_muller, snr_key, start_stream,
-                         stream_key, uniforms)
+from .randomness import (STREAM_LAYOUT, box_muller, snr_key, start_stream, stream_key,
+                         uniforms, word_bits)
 
 LOW_CONFIDENCE_ERRORS = 10
 # Entries per array of the realization engine (see _range_errors): a block's
@@ -164,6 +169,16 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     BLOCK_ENTRIES entries (at least one), taken for all the block's
     realizations at once.
 
+    Frame stage: per block, the gain beta * effective_gain = H F_data of each
+    realization; per frame group, one batched matmul takes the group's
+    symbols, laid out as the bit words hold them, to y = H F_data x, and the
+    noise is added in place. The sent bits are the sign bits of the words'
+    32-bit halves (word_bits), which are already in the memory order of y's
+    (re, im) parts, and x is looked up from them (modem.qpsk_symbols). A bit
+    is wrong where its part of y is negative and the bit 0, or not negative
+    and the bit 1: an exact 0 or -0.0 decides 0, as in qpsk_demodulate.
+    Dividing by beta > 0 would change no sign, so it is skipped.
+
     Draw phase: the Philox key of (seed, SNR) is derived once per call, and
     realization r reads stream r of that key (r in the counter) as raw
     64-bit words in a fixed layout: the pool's u1 and u2 (n_pool * n_tx
@@ -202,6 +217,8 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                 f"precoder build failed at realization {first + exc.index} "
                 f"(scheme {scheme.label}, {snr_db} dB): {exc}"
             ) from exc
+        # beta * effective_gain, transposed to act on rows of symbols.
+        gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
         for done in range(0, config.frames, group):
             n_frames = min(group, config.frames - done)
             frame_words = words[:n_real, pool_words:pool_words + 3 * n_frames * per_frame]
@@ -211,20 +228,19 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                     frame_words[i] = start_stream(philox, key, first + i, word).random_raw(
                         frame_words.shape[1])
             frame_words = frame_words.reshape(n_real, n_frames, 3, per_frame)
-            # One realization's frames side by side as (k, n_frames * n_sym)
-            # columns. A frame's bit words hold its symbols in (symbol, user)
-            # order and its noise is drawn as (user, symbol).
+            # A realization's frames as n_frames * n_sym rows of k users: a
+            # frame's bit words hold its symbols in (symbol, user) order,
+            # each word the (re, im) bits of one symbol.
             uses = n_frames * n_sym
-            x = (modem.QPSK_SYMBOLS[bit_pairs(frame_words[:, :, 0])]
-                 .reshape(n_real, uses, k).swapaxes(-1, -2))
+            sent = word_bits(frame_words[:, :, 0])
+            y = modem.qpsk_symbols(sent).reshape(n_real, uses, k) @ gain_t
             noise_u = uniforms(frame_words[:, :, 1:]).reshape(n_real, n_frames, 2, k, n_sym)
-            z = (box_muller(noise_u[:, :, 0], noise_u[:, :, 1], n0)
-                 .swapaxes(1, 2).reshape(n_real, k, uses))
-            est = modem.transmit_receive(h, prec, x, z)
-            # qpsk_demodulate's decisions: a bit is wrong where the sign of
-            # its part of est differs from the sign it was sent with.
-            errors += int(np.count_nonzero((est.real < 0) != (x.real < 0))
-                          + np.count_nonzero((est.imag < 0) != (x.imag < 0)))
+            # The noise is drawn as (user, symbol) per frame.
+            y_frames = y.reshape(n_real, n_frames, n_sym, k)
+            y_frames += box_muller(noise_u[:, :, 0], noise_u[:, :, 1], n0).swapaxes(-1, -2)
+            # y's (re, im) parts are in the order of the sent bits.
+            errors += int(np.count_nonzero(
+                (y.view(np.float64) < 0) != sent.reshape(n_real, uses, 2 * k)))
     return errors
 
 

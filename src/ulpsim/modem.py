@@ -29,8 +29,19 @@ def qpsk_modulate(bits) -> np.ndarray:
     return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _SQRT2
 
 
-# qpsk_modulate's symbol for the bit pair (b0, b1) at index b0 + 2*b1.
-QPSK_SYMBOLS = qpsk_modulate(np.array([0, 0, 1, 0, 0, 1, 1, 1]))
+# qpsk_modulate's real or imaginary part for bit 0 and for bit 1: the parts
+# of (1 - 1j)/sqrt(2), the symbol of the pair (0, 1).
+_LEVELS = qpsk_modulate([0, 1]).view(np.float64)
+
+
+def qpsk_symbols(bits: np.ndarray) -> np.ndarray:
+    """qpsk_modulate's symbols, bit for bit, of a bool (or 0/1) bit block.
+
+    Each bit picks its part of a symbol from a 2-entry table, so an
+    even-length last axis of bits (b0, b1, b0, ...) becomes the
+    complex128 (re, im, re, ...) of half as many symbols.
+    """
+    return _LEVELS.take(bits).view(np.complex128)
 
 
 def qpsk_demodulate(symbols) -> np.ndarray:

@@ -12,7 +12,7 @@ fraction of the float64 ones; STREAM_LAYOUT versions these choices.
 `derived_stream` is the reference form of a stream. The harness reads the
 same streams as raw 64-bit Philox words: `start_stream` points one reused
 Philox at any word of any indexed stream of a `stream_key`, and `uniforms`
-and `bit_pairs` decode words exactly as `Generator.random` and
+and `word_bits` decode words exactly as `Generator.random` and
 `Generator.integers(0, 2)` would.
 """
 
@@ -70,13 +70,16 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-def bit_pairs(words: np.ndarray) -> np.ndarray:
-    """b0 + 2*b1 of the two bits Generator.integers(0, 2) takes from each raw word.
+def word_bits(words: np.ndarray) -> np.ndarray:
+    """The bits Generator.integers(0, 2) takes from raw words, two per word, as bools.
 
     integers(0, 2) uses the top bit of a 32-bit half, the low half first, and
-    never rejects a value for a range of 2: b0 is bit 31 and b1 bit 63.
+    never rejects a value for a range of 2: b0 is the sign bit of the low
+    half and b1 that of the high half. Read as little-endian int32 halves
+    (a copy only on a big-endian host), a contiguous last axis of n words
+    becomes 2n bits in (b0, b1) order.
     """
-    return (words >> 31 & 1) | (words >> 62 & 2)
+    return words.astype("<u8", copy=False).view("<i4") < 0
 
 
 def complex_normal(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

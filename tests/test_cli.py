@@ -252,6 +252,11 @@ class TestMain:
         ("u", None, "missing column 'u'"),
         ("bit_errors", "x", "invalid literal"),
         ("scheme", "LZFP", "repeated record for scheme LZFP at 14.0 dB"),
+        ("bits_total", "0", "bits_total must be >= 1, got 0"),
+        ("bit_errors", "500", "bit_errors must be between 0 and bits_total 240, got 500"),
+        ("bit_errors", "-1", "bit_errors must be between 0 and bits_total 240, got -1"),
+        ("u", "0", "scheme ULMMSEP has u = 0.0, m = 1.0, which make LMMSEP"),
+        ("m", "nan", "scheme parameters must be finite and nonnegative"),
     ])
     def test_malformed_table_exits_1_naming_file_and_row(self, column, value, message,
                                                          tmp_path, capsys):

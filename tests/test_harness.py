@@ -278,19 +278,25 @@ class TestRangeErrorsMatchReference:
         assert errors == reference_errors(config, scheme, 0.0, 0, 4) > 0
 
     def test_exact_zero_decides_bit_zero(self, monkeypatch):
-        # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent is an error.
-        monkeypatch.setattr(harness.modem, "transmit_receive", lambda h, prec, x, z: 0.0 * x)
+        # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent
+        # is an error. A precoder F = 0 at a noiseless SNR (4000 dB, whose
+        # noise variance underflows to 0) makes every received part +-0.
+        def zero_precoder(h, mode, sigma2, normalize_data_block_only):
+            f = np.zeros(h.shape[:-2] + (h.shape[-1], h.shape[-2]), dtype=np.complex128)
+            return precoder.Precoder(F=f, beta=np.ones(h.shape[:-2]), mode=mode)
+
+        monkeypatch.setattr(harness.precoder, "build", zero_precoder)
         config = SimulationConfig(realizations=3, frames=2, symbols_per_frame=5)
         k, n_sym = config.active_users, config.symbols_per_frame
         ones = 0
         for r in range(config.realizations):
-            rng = derived_stream(config.seed, snr_key(10.0), r)
+            rng = derived_stream(config.seed, snr_key(4000.0), r)
             draw_user_pool(rng, config.pool_users, config.tx_antennas)
             for _ in range(config.frames):
                 ones += int(rng.integers(0, 2, 2 * k * n_sym).sum())
                 draw_awgn(rng, (k, n_sym), 1.0)
         scheme = SchemeMode.from_label("LZFP")
-        assert _range_errors(config, scheme, 10.0, 0, config.realizations) == ones > 0
+        assert _range_errors(config, scheme, 4000.0, 0, config.realizations) == ones > 0
 
     def test_indices_past_32_bits(self):
         # A range across 2**53 + 1, the first index a float64 cannot hold,

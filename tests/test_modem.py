@@ -5,7 +5,8 @@ import pytest
 
 from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ShapeError
-from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
+from ulpsim.modem import (draw_awgn, qpsk_demodulate, qpsk_modulate, qpsk_symbols,
+                          transmit_receive)
 from ulpsim.precoder import build_conventional, build_unified, effective_gain
 from ulpsim.randomness import derived_stream
 
@@ -51,6 +52,13 @@ class TestQpskMapping:
     def test_odd_length_rejected(self):
         with pytest.raises(ShapeError):
             qpsk_modulate([0, 1, 0])
+
+    def test_table_lookup_is_qpsk_modulate_on_every_pair(self):
+        bits = np.array([0, 0, 1, 0, 0, 1, 1, 1])
+        for sent in (bits, bits.astype(bool)):
+            got = qpsk_symbols(sent)
+            assert got.dtype == np.complex128
+            assert got.tobytes() == qpsk_modulate(bits).tobytes()
 
 
 class TestAwgn:

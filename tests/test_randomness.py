@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ulpsim.modem import QPSK_SYMBOLS, qpsk_modulate
+from ulpsim.modem import qpsk_modulate, qpsk_symbols
 from ulpsim.randomness import (
-    bit_pairs,
     box_muller,
     derived_stream,
     start_stream,
     stream_key,
     uniforms,
+    word_bits,
 )
 
 MASK64 = (1 << 64) - 1
@@ -71,11 +71,39 @@ def test_uniforms_match_generator_random():
     assert ends.tolist() == [0.0, 1.0 - 2.0**-53]
 
 
-def test_bit_pairs_match_generator_integers():
+def test_word_bits_match_generator_integers():
     words = derived_stream(7, 1, 2).bit_generator.random_raw(1000)
     bits = derived_stream(7, 1, 2).integers(0, 2, 2000)
-    assert np.array_equal(bit_pairs(words), bits[0::2] + 2 * bits[1::2])
-    assert np.array_equal(QPSK_SYMBOLS[bit_pairs(words)], qpsk_modulate(bits))
+    sent = word_bits(words)
+    assert sent.dtype == bool and np.array_equal(sent, bits)
+    assert np.array_equal(qpsk_symbols(sent), qpsk_modulate(bits))
+
+
+def generator_drawing(word: int) -> np.random.Generator:
+    """A Generator whose bit generator's next raw word is `word`.
+
+    PCG64 steps its 128-bit state, then outputs rotr64(hi ^ lo, hi >> 58),
+    which is lo when hi = 0: so step back once from the state `word`. Its
+    32-bit draws split a word low half first, as Philox's do.
+    """
+    pcg = np.random.PCG64()
+    pcg.state = {"bit_generator": "PCG64", "state": {"state": word, "inc": 1},
+                 "has_uint32": 0, "uinteger": 0}
+    pcg.advance(2**128 - 1)
+    assert pcg.random_raw() == word
+    pcg.advance(2**128 - 1)
+    return np.random.Generator(pcg)
+
+
+@pytest.mark.parametrize("word,bits", [
+    (0, [0, 0]), (2**31, [1, 0]), (2**32, [0, 0]), (2**63, [0, 1]), (MASK64, [1, 1]),
+])
+def test_word_bits_of_edge_words(word, bits):
+    assert generator_drawing(word).integers(0, 2, 2).tolist() == bits
+    words = np.array([word], dtype=np.uint64)
+    assert word_bits(words).tolist() == [bool(b) for b in bits]
+    # A big-endian array holds the same words in the other byte order.
+    assert word_bits(words.astype(">u8")).tolist() == [bool(b) for b in bits]
 
 
 def test_draws_after_bits_stay_aligned():
@@ -84,7 +112,7 @@ def test_draws_after_bits_stay_aligned():
     bits = rng.integers(0, 2, 10)
     after = rng.random(3)
     words = derived_stream(9, 8, 7).bit_generator.random_raw(8)
-    assert np.array_equal(bit_pairs(words[:5]), bits[0::2] + 2 * bits[1::2])
+    assert np.array_equal(word_bits(words[:5]), bits)
     assert np.array_equal(uniforms(words[5:]), after)
 
 
