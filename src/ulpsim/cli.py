@@ -106,9 +106,7 @@ def build_config(values: dict) -> SimulationConfig:
     m = float(values.pop("m", 1.0))
     labels = values.pop("schemes", LABELS)
     schemes = tuple(SchemeMode.from_label(lbl, u=u, m=m) for lbl in labels)
-    config = SimulationConfig(schemes=schemes, **values)
-    config.validate()
-    return config
+    return SimulationConfig(schemes=schemes, **values)
 
 
 def sci(x: float) -> str:
@@ -185,46 +183,29 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts.
 
     A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
-    A row must count 0 <= bit_errors <= bits_total with bits_total >= 1, and
-    its scheme must be the label its u and m make.
+    Each row must make a valid BerRecord; a row that does not, or cannot be
+    parsed, is named by file and line.
     """
     records = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                record = BerRecord(
+                values = dict(
                     scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
                     snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
                     bits_total=int(row["bits_total"]),
                 )
+                key = (values["scheme_label"], values["snr_db"])
+                if key in records:
+                    raise ConfigurationError(
+                        f"repeated record for scheme {key[0]} at {key[1]} dB")
+                records[key] = BerRecord(**values)
             except KeyError as exc:
                 raise ConfigurationError(
                     f"{path}:{reader.line_num}: missing column {exc}") from exc
             except (TypeError, ValueError) as exc:  # TypeError: a short row's None
                 raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
-            key = (record.scheme_label, record.snr_db)
-            if key in records:
-                raise ConfigurationError(
-                    f"{path}:{reader.line_num}: repeated record for scheme "
-                    f"{record.scheme_label} at {record.snr_db} dB")
-            where = f"{path}:{reader.line_num}"
-            if record.bits_total < 1:
-                raise ConfigurationError(
-                    f"{where}: bits_total must be >= 1, got {record.bits_total}")
-            if not 0 <= record.bit_errors <= record.bits_total:
-                raise ConfigurationError(
-                    f"{where}: bit_errors must be between 0 and bits_total "
-                    f"{record.bits_total}, got {record.bit_errors}")
-            try:
-                label = SchemeMode(record.u, record.m).label
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{where}: {exc}") from exc
-            if label != record.scheme_label:
-                raise ConfigurationError(
-                    f"{where}: scheme {record.scheme_label} has u = {record.u}, "
-                    f"m = {record.m}, which make {label}")
-            records[key] = record
     return list(records.values())
 
 

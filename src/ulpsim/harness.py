@@ -45,7 +45,7 @@ FRAME_GROUP_BLOCKS = 16
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full experiment description; results depend on nothing else."""
+    """Full experiment description, checked when built; results depend on nothing else."""
 
     tx_antennas: int = 8
     pool_users: int = 20
@@ -61,7 +61,7 @@ class SimulationConfig:
     snr_offset_db: float = 0.0
     normalize_data_block_only: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("tx_antennas", "pool_users", "active_users", "realizations",
                      "frames", "symbols_per_frame"):
             if getattr(self, name) < 1:
@@ -106,12 +106,28 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class BerRecord:
+    """Error count of one (scheme, SNR) cell, checked when built."""
+
     scheme_label: str
     u: float
     m: float
     snr_db: float
     bit_errors: int
     bits_total: int
+
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.snr_db):
+            raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
+        if self.bits_total < 1:
+            raise ConfigurationError(f"bits_total must be >= 1, got {self.bits_total}")
+        if not 0 <= self.bit_errors <= self.bits_total:
+            raise ConfigurationError(
+                f"bit_errors must be between 0 and bits_total {self.bits_total}, "
+                f"got {self.bit_errors}")
+        label = precoder.SchemeMode(self.u, self.m).label
+        if label != self.scheme_label:
+            raise ConfigurationError(
+                f"scheme {self.scheme_label} has u = {self.u}, m = {self.m}, which make {label}")
 
     @property
     def ber(self) -> float:
@@ -247,7 +263,6 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
               workers: int = 1) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts."""
-    config.validate()
     _snr_stream_key(snr_db, config.snr_offset_db)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -287,7 +302,6 @@ def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
     """run_point over the full SNR x scheme grid, ordered by (snr, label)."""
     from . import __version__
 
-    config.validate()
     records = []
     for snr_db in config.snr_db:
         for scheme in sorted(config.schemes, key=lambda s: s.label):

@@ -47,11 +47,13 @@ class SchemeMode:
     def from_label(cls, label: str, u: float = 1.0, m: float = 1.0) -> "SchemeMode":
         """Mode for a scheme name; u and m apply only where the name allows them.
 
-        A weight the name needs may not be 0: the mode would carry another label.
+        Both weights are checked whether the name uses them or not, and a
+        weight the name needs may not be 0: the mode would carry another label.
         """
         name = label.strip().upper()
         if name not in LABELS:
             raise ConfigurationError(f"unknown scheme {label!r}; expected one of {LABELS}")
+        cls(u, m)
         needs = [w for w, needed in (("u", name.startswith("U")), ("m", "MMSE" in name))
                  if needed]
         mode = cls(u if "u" in needs else 0.0, m if "m" in needs else 0.0)

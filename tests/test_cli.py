@@ -151,6 +151,9 @@ BAD_INPUTS = [
      "unrecognized arguments: --out d"),
     (["point", "--scheme", "ULMMSEP", "--m", "0", "--point-snr", "20"],
      "scheme ULMMSEP needs m > 0 (m = 0 makes it ULZFP)"),
+    # A weight the scheme does not use is checked all the same.
+    (["point", "--scheme", "LZFP", "--u", "nan", "--point-snr", "20"], "u=nan"),
+    (["point", "--scheme", "LZFP", "--m", "inf", "--point-snr", "20"], "m=inf"),
 ]
 
 
@@ -223,7 +226,9 @@ class TestMain:
         ("normalize_data_block_only = maybe\n",
          "{cfg}:1: key 'normalize_data_block_only': expected a boolean, got 'maybe'"),
         ("seed = 1\nrealizations = 3\n# seed = 4\nseed = 7\n", "{cfg}:4: repeated key 'seed'"),
-    ], ids=["u0", "bad_boolean", "repeated_key"])
+        ("u = -1\nschemes = LZFP\n",
+         "scheme parameters must be finite and nonnegative: u=-1.0, m=1.0"),
+    ], ids=["u0", "bad_boolean", "repeated_key", "unused_negative_u"])
     def test_bad_config_file_exits_1_naming_the_cause(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -257,6 +262,8 @@ class TestMain:
         ("bit_errors", "-1", "bit_errors must be between 0 and bits_total 240, got -1"),
         ("u", "0", "scheme ULMMSEP has u = 0.0, m = 1.0, which make LMMSEP"),
         ("m", "nan", "scheme parameters must be finite and nonnegative"),
+        ("snr_db", "nan", "snr_db must be finite, got nan"),
+        ("snr_db", "inf", "snr_db must be finite, got inf"),
     ])
     def test_malformed_table_exits_1_naming_file_and_row(self, column, value, message,
                                                          tmp_path, capsys):

@@ -1,5 +1,6 @@
+import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,24 +37,28 @@ class TestSnrMapping:
 
 class TestConfigValidation:
     def test_default_is_valid(self):
-        SimulationConfig().validate()
+        SimulationConfig()
 
     def test_active_exceeds_pool(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(pool_users=4, active_users=8, tx_antennas=8).validate()
+            SimulationConfig(pool_users=4, active_users=8, tx_antennas=8)
 
     def test_active_must_equal_tx(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(pool_users=20, active_users=4, tx_antennas=8).validate()
+            SimulationConfig(pool_users=20, active_users=4, tx_antennas=8)
 
     def test_counts_positive(self):
         with pytest.raises(ConfigurationError):
-            SimulationConfig(realizations=0).validate()
+            SimulationConfig(realizations=0)
 
     @pytest.mark.parametrize("snr_db", [(20.0, 20.0), (20.0, 20.0004)])
     def test_snrs_sharing_a_stream_key(self, snr_db):
         with pytest.raises(ConfigurationError, match="milli-dB"):
-            SimulationConfig(snr_db=snr_db).validate()
+            SimulationConfig(snr_db=snr_db)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ConfigurationError, match="milli-dB"):
+            replace(SimulationConfig(), snr_db=(20.0, 20.0004))
 
     @pytest.mark.parametrize("snr_db,offset", [
         (np.nan, 0.0), (np.inf, 0.0), (1e306, 0.0), (-4000.0, 0.0), (14.0, np.nan),
@@ -61,13 +66,13 @@ class TestConfigValidation:
     ])
     def test_snr_needs_finite_noise_variance(self, snr_db, offset):
         with pytest.raises(ConfigurationError, match="noise variance"):
-            SimulationConfig(snr_db=(snr_db,), snr_offset_db=offset).validate()
+            SimulationConfig(snr_db=(snr_db,), snr_offset_db=offset)
 
     def test_repeated_scheme_label_rejected(self):
         # Two ULZFP schemes with different u would still share one label.
         schemes = (SchemeMode.from_label("LZFP"), SchemeMode(1.0, 0.0), SchemeMode(2.0, 0.0))
         with pytest.raises(ConfigurationError, match="repeat"):
-            SimulationConfig(schemes=schemes).validate()
+            SimulationConfig(schemes=schemes)
 
     def test_bits_per_point(self):
         assert SimulationConfig().bits_per_point == 1000 * 10 * 100 * 8 * 2
@@ -85,7 +90,10 @@ class TestConfigValidation:
         assert set(changed) == {f.name for f in fields(SimulationConfig)}
         base = SimulationConfig().digest()
         for name, value in changed.items():
-            assert SimulationConfig(**{name: value}).digest() != base, name
+            # Set alone, some values (active_users=4) make no valid config.
+            config = SimulationConfig()
+            object.__setattr__(config, name, value)
+            assert config.digest() != base, name
 
     def test_digest_changes_with_stream_layout(self, monkeypatch):
         base = SimulationConfig().digest()
@@ -219,6 +227,18 @@ class TestRunPoint:
         assert record.standard_error == pytest.approx(np.sqrt(p * (1 - p) / 1000))
         assert not record.low_confidence
         assert BerRecord("LZFP", 0, 0, 10.0, 9, 1000).low_confidence
+
+    @pytest.mark.parametrize("label,snr_db,bit_errors,bits_total,message", [
+        ("LMMSEP", 10.0, 5, 1000, "scheme LMMSEP has u = 0.0, m = 0.0, which make LZFP"),
+        ("LZFP", 10.0, 0, 0, "bits_total must be >= 1, got 0"),
+        ("LZFP", 10.0, -1, 1000, "bit_errors must be between 0 and bits_total 1000, got -1"),
+        ("LZFP", 10.0, 1001, 1000,
+         "bit_errors must be between 0 and bits_total 1000, got 1001"),
+        ("LZFP", float("nan"), 5, 1000, "snr_db must be finite, got nan"),
+    ], ids=["mislabelled", "no_bits", "negative_errors", "errors_past_total", "nan_snr"])
+    def test_invalid_record_rejected(self, label, snr_db, bit_errors, bits_total, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            BerRecord(label, 0.0, 0.0, snr_db, bit_errors, bits_total)
 
 
 def reference_errors(config, scheme, snr_db, start, stop):
