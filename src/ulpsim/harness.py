@@ -32,15 +32,22 @@ from .randomness import (STREAM_LAYOUT, box_muller, snr_key, start_stream, strea
                          uniforms, word_bits)
 
 LOW_CONFIDENCE_ERRORS = 10
-# Entries per array of the realization engine (see _range_errors): a block's
-# stacked pools, and one realization's share of a frame group. Small enough
-# that the arrays stay in cache, large enough that the per-call overhead of
-# each numpy stage is shared by many realizations or frames.
-BLOCK_ENTRIES = 2048
-# A block's frame group, over all its realizations, holds at most this many
-# times BLOCK_ENTRIES entries (or one frame of one realization), so a small
-# pool cannot fill a block with more frames than memory should hold.
-FRAME_GROUP_BLOCKS = 16
+# Entry budgets of the realization engine's arrays (see _range_errors), each
+# bounding one array. Large enough that the per-call overhead of each numpy
+# stage is shared by many realizations or frames, small enough that the
+# arrays stay in cache and a block's memory does not grow with its range.
+# A block's stacked pools (realizations x pool users x tx antennas): 25
+# realizations of the paper's 20 x 8 pool. With short frames, a block's
+# draw, selection and precoder build cost mostly numpy and LAPACK call
+# overhead, so fewer, larger blocks run faster.
+POOL_ENTRIES = 4096
+# One realization's symbols in a frame group (frames x users x symbols).
+GROUP_ENTRIES = 2048
+# A block's frame group over all its realizations (at least one frame of one
+# realization): 12 realizations of 2 frames at the paper's 8 users x 100
+# symbols, so that a small pool cannot fill a block with more frames than
+# memory should hold. Larger groups measured slower.
+BLOCK_GROUP_ENTRIES = 20480
 
 
 @dataclass(frozen=True)
@@ -177,13 +184,15 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, stop: int) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
 
-    A block holds as many realizations as fit their pools in BLOCK_ENTRIES
-    entries and their frame groups in FRAME_GROUP_BLOCKS * BLOCK_ENTRIES
-    (at least one). The pool draw, user selection and the precoder build run
-    once per block on stacked arrays. The frame stage then walks the block's
-    frames in groups: as many frames as fit one realization's symbols in
-    BLOCK_ENTRIES entries (at least one), taken for all the block's
-    realizations at once.
+    A block holds as many realizations as fit their pools in POOL_ENTRIES
+    entries and their frame groups in BLOCK_GROUP_ENTRIES (at least one).
+    The pool draw, user selection and the precoder build run once per block
+    on stacked arrays. The frame stage then walks the block's frames in
+    groups: as many frames as fit one realization's symbols in GROUP_ENTRIES
+    entries (at least one), taken for all the block's realizations at once.
+    At the paper's 20 x 8 pool and 8 users, blocks of 1-frame, 1-symbol
+    realizations hold 25 of them, bound by their pools, and blocks of
+    10-frame, 100-symbol realizations hold 12, bound by their 2-frame groups.
 
     Frame stage: per block, the gain beta * effective_gain = H F_data of each
     realization; per frame group, one batched matmul takes the group's
@@ -210,9 +219,9 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
     per_frame = k * n_sym
-    group = min(config.frames, max(1, BLOCK_ENTRIES // per_frame))
-    per_block = max(1, min(BLOCK_ENTRIES // (n_pool * n_tx),
-                           FRAME_GROUP_BLOCKS * BLOCK_ENTRIES // (group * per_frame)))
+    group = min(config.frames, max(1, GROUP_ENTRIES // per_frame))
+    per_block = max(1, min(POOL_ENTRIES // (n_pool * n_tx),
+                           BLOCK_GROUP_ENTRIES // (group * per_frame)))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     philox = np.random.Philox(0)
     pool_words = 2 * n_pool * n_tx

@@ -26,8 +26,9 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     """Solve (A + ridge*I) X = B for Hermitian PSD A, for each system of a stack.
 
     A is (..., n, n) and B is (..., n, k). One batched Cholesky factorization
-    tests every matrix; each matrix whose smallest pivot degenerates (the
-    exactly-singular ridge=0 corner) falls back, alone, to pivoted LU. Raises
+    tests every matrix and one batched solve serves the accepted ones; each
+    matrix whose smallest pivot degenerates (the exactly-singular ridge=0
+    corner) is solved again, alone, by pivoted LU. Raises
     SingularMatrixError, naming the offending pivot and setting `index` to the
     matrix's position in the flattened stack, when both fail.
     """
@@ -44,8 +45,11 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     rhs = b.reshape(len(m), n, b.shape[-1])
     floor = PIVOT_RTOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
     accepted = _cholesky_accepts(m, floor)
-    x = np.empty_like(rhs)
-    x[accepted] = np.linalg.solve(m[accepted], rhs[accepted])
+    # One batched solve of the whole stack. numpy solves each matrix on its
+    # own, so an accepted one gets the same bits as if solved alone; a
+    # rejected one is swapped for I, so that it cannot make numpy raise, and
+    # its solution is then overwritten.
+    x = np.linalg.solve(np.where(accepted[:, None, None], m, np.eye(n)), rhs)
     for i in np.flatnonzero(~accepted):
         x[i] = _lu_solve(m[i], rhs[i], floor[i], i)
     return x.reshape(b.shape)

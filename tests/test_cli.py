@@ -91,8 +91,8 @@ class TestEmitters:
         with open(tmp_path / "g.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         pairs = {(r["scheme_a"], r["scheme_b"]) for r in rows}
-        assert pairs == {("LZFP", "LMMSEP"), ("LZFP_u0", "LMMSEP_u0"), ("ULZFP", "ULMMSEP")}
-        assert len(rows) == 9
+        assert pairs == {("LZFP", "LMMSEP"), ("ULZFP", "ULMMSEP")}
+        assert len(rows) == 6
 
     def test_round_trip_is_exact(self, table, tmp_path):
         cli.emit_table(table, tmp_path / "r.csv", tmp_path / "g.csv")
@@ -202,7 +202,7 @@ class TestMain:
         assert cli.main(["gaps", "--table", str(out / "results.csv")]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "snr_db,scheme_a,scheme_b,gap"
-        assert len(lines) == 10
+        assert len(lines) == 7
 
     def test_configuration_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
