@@ -9,7 +9,8 @@ class SingularMatrixError(ArithmeticError):
     """A linear system is singular (or not positive definite) within tolerance.
 
     `index` is the failing system's position in the flattened stack that was
-    solved (0 for a single system), or None where no solver set it.
+    solved (0 for a single system). solve_hermitian always sets it; it is None
+    on errors raised elsewhere, such as the harness's per-realization message.
     """
 
     index: int | None = None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -276,7 +277,8 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
-    # One chunk per worker, none empty: a pool starts all its workers at once.
+    # One chunk per requested worker, none empty. A pool starts all its
+    # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
         errors = _range_errors(config, scheme, snr_db, 0, n)
@@ -284,7 +286,7 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
-        with pool_type(max_workers=workers) as pool:
+        with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b))
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)

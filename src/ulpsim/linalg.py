@@ -1,18 +1,16 @@
-"""Regularized Hermitian solves: Cholesky with a pivoted-LU fallback.
+"""Regularized Hermitian solves: one batched Cholesky test, then one batched solve.
 
 Callers pass complex128 arrays built by the simulator itself; values from
 outside are checked once, where the configuration enters. A leading batch
 axis stacks independent systems; a single 2-D system is the batch-of-one case.
 
-The accepted Cholesky path is numpy alone. scipy is imported by the LU
-fallback on its first use, so importing ulpsim does not load it: the
-fallback runs only for a matrix whose Cholesky pivot degenerates, which
-Rayleigh draws do not produce.
+Every precoder solves (A + ridge I) X = B with A Hermitian PSD, which only
+the ridge = 0 corner on a rank-deficient channel makes singular. A stack is
+therefore solved or rejected whole: there is no second path for a matrix that
+fails the Cholesky test. numpy is the only dependency.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -26,11 +24,11 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     """Solve (A + ridge*I) X = B for Hermitian PSD A, for each system of a stack.
 
     A is (..., n, n) and B is (..., n, k). One batched Cholesky factorization
-    tests every matrix and one batched solve serves the accepted ones; each
-    matrix whose smallest pivot degenerates (the exactly-singular ridge=0
-    corner) is solved again, alone, by pivoted LU. Raises
-    SingularMatrixError, naming the offending pivot and setting `index` to the
-    matrix's position in the flattened stack, when both fail.
+    tests every matrix against the PIVOT_RTOL floor; if all pass, one batched
+    solve of the unmodified stack serves them all, and each matrix gets the
+    same bits as if solved alone. Otherwise raises SingularMatrixError for the
+    first rejected matrix, with `index` set to its position in the flattened
+    stack and a message naming its pivot floor or its non-finite entries.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -43,16 +41,19 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     n = a.shape[-1]
     m = (a + ridge * np.eye(n, dtype=np.complex128)).reshape(-1, n, n)
     rhs = b.reshape(len(m), n, b.shape[-1])
-    floor = PIVOT_RTOL * np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
-    accepted = _cholesky_accepts(m, floor)
-    # One batched solve of the whole stack. numpy solves each matrix on its
-    # own, so an accepted one gets the same bits as if solved alone; a
-    # rejected one is swapped for I, so that it cannot make numpy raise, and
-    # its solution is then overwritten.
-    x = np.linalg.solve(np.where(accepted[:, None, None], m, np.eye(n)), rhs)
-    for i in np.flatnonzero(~accepted):
-        x[i] = _lu_solve(m[i], rhs[i], floor[i], i)
-    return x.reshape(b.shape)
+    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
+    accepted = _cholesky_accepts(m, PIVOT_RTOL * scale)
+    if not accepted.all():
+        index = int(np.argmin(accepted))
+        if np.isfinite(m[index]).all():
+            error = SingularMatrixError(
+                "matrix is singular or indefinite within tolerance: a Cholesky "
+                f"pivot squared is not above {PIVOT_RTOL:g} x scale {scale[index]:.3e}")
+        else:
+            error = SingularMatrixError("matrix has non-finite entries")
+        error.index = index
+        raise error
+    return np.linalg.solve(m, rhs).reshape(b.shape)
 
 
 def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -66,22 +67,3 @@ def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky_accepts(m[i:i + 1], floor[i:i + 1])
                                for i in range(len(m))])
     return np.min(np.abs(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1) ** 2 > floor
-
-
-def _lu_solve(m: np.ndarray, b: np.ndarray, floor: float, index: int) -> np.ndarray:
-    """Pivoted LU solve of one system; rejects it if a pivot is negligible relative to ‖A‖."""
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    smallest = float(pivots.min()) if pivots.size else 0.0
-    if smallest <= floor:
-        error = SingularMatrixError(
-            f"matrix is singular within tolerance: smallest pivot {smallest:.3e} "
-            f"vs scale {floor / PIVOT_RTOL:.3e}"
-        )
-        error.index = int(index)
-        raise error
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

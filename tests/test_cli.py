@@ -292,6 +292,7 @@ class TestMain:
         assert cli.main([*flags, *TINY_FLAGS]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "non-finite" in err
 
     def test_numerical_error_exit_code(self, monkeypatch, tmp_path):
         from ulpsim.errors import SingularMatrixError

@@ -1,15 +1,16 @@
-"""Imports that ulpsim defers to their first use, each checked in a fresh interpreter.
+"""What ulpsim imports, each checked in a fresh interpreter.
 
-Importing ulpsim loads numpy and the standard library only: scipy is loaded
-by solve_hermitian's pivoted-LU fallback, and the process pool by run_point
-with workers > 1. Inside the test session other modules (scipy.stats in
-test_randomness) may have loaded them already, so every check here runs in a
-new interpreter, with warnings as errors.
+ulpsim needs numpy and the standard library only; the process pool is
+imported by run_point with workers > 1, on first use. Inside the test session
+other modules (scipy.stats in test_randomness) may have loaded them already,
+so every check here runs in a new interpreter, with warnings as errors.
 """
 
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import ulpsim
@@ -33,20 +34,38 @@ def test_cli_import_loads_no_deferred_module():
     assert out.strip() == "[]"
 
 
-def test_lu_fallback_imports_scipy_on_first_use():
+def test_third_party_imports_are_the_declared_dependencies():
+    # Every module, a rejected zero-forcing build and a pooled run_point: the
+    # third-party packages they load must be exactly [project].dependencies.
     out = run_fresh("""import sys
+before = set(sys.modules)
+import importlib, pkgutil
 import numpy as np
-import pytest
+import ulpsim
+for info in pkgutil.iter_modules(ulpsim.__path__):
+    importlib.import_module(f"ulpsim.{info.name}")
+from ulpsim import precoder
 from ulpsim.errors import SingularMatrixError
-from ulpsim.linalg import solve_hermitian
-assert "scipy" not in sys.modules
-a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-assert np.allclose(a @ solve_hermitian(a, np.eye(2)), np.eye(2), atol=1e-12)
-with pytest.raises(SingularMatrixError, match="pivot"):
-    solve_hermitian(np.zeros((3, 3)), np.eye(3))
-print("scipy" in sys.modules)
+from ulpsim.harness import SimulationConfig, run_point
+try:
+    precoder.build_conventional(np.ones((2, 2), dtype=complex), m=0.0, sigma2=0.0)
+except SingularMatrixError as exc:
+    assert exc.index == 0
+else:
+    raise AssertionError("singular build accepted")
+run_point(SimulationConfig(realizations=2, frames=2, symbols_per_frame=10, seed=99),
+          precoder.SchemeMode.from_label("LMMSEP"), 10.0, workers=2)
+# multiprocessing aliases the main module as __mp_main__.
+loaded = {name.split(".")[0] for name in set(sys.modules) - before
+          if not name.startswith("__")}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"ulpsim"}))
 """)
-    assert out.strip() == "True"
+    with open(SRC.parent / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = sorted(re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                   for d in declared)
+    assert out.strip() == str(names)
+    assert "scipy" not in out
 
 
 def test_pool_imports_on_first_use():

@@ -125,7 +125,7 @@ class TestRunPoint:
     def test_pool_is_sized_to_its_chunks(self, monkeypatch):
         import concurrent.futures
 
-        sizes = []
+        sizes, submitted = [], []
 
         class InlinePool:
             """Records max_workers and runs each submission at once; starts no process."""
@@ -140,15 +140,22 @@ class TestRunPoint:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(args[-2:])
                 done = concurrent.futures.Future()
                 done.set_result(fn(*args))
                 return done
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         scheme = SchemeMode.from_label("LZFP")
-        record = run_point(TINY, scheme, 10.0, workers=10**6)
-        assert sizes == [TINY.realizations]
-        assert record == run_point(TINY, scheme, 10.0, workers=1)
+        serial = run_point(TINY, scheme, 10.0, workers=1)
+        for cpus in (None, 4, 64):
+            sizes.clear()
+            submitted.clear()
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            assert run_point(TINY, scheme, 10.0, workers=10**6) == serial
+            # One chunk per realization, in a pool no larger than the CPUs.
+            assert sizes == [min(TINY.realizations, cpus or 1)]
+            assert submitted == [(r, r + 1) for r in range(TINY.realizations)]
 
     def test_noiseless_zero_forcing_is_error_free(self):
         # SNR large enough that 10^(-snr/10) underflows to exactly 0.

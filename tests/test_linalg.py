@@ -51,13 +51,6 @@ class TestSolveHermitian:
         with pytest.raises(ValueError):
             linalg.solve_hermitian(np.eye(2), np.eye(2), ridge=-1.0)
 
-    def test_indefinite_falls_back_to_lu(self):
-        # Not PSD, but nonsingular: the LU fallback must still solve it.
-        a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        x = linalg.solve_hermitian(a, np.eye(2))
-        assert np.allclose(a @ x, np.eye(2), atol=1e-12)
-
-
 
 class TestSolveHermitianStack:
     def test_matches_per_matrix_solves(self):
@@ -72,42 +65,41 @@ class TestSolveHermitianStack:
                 for j in range(3):
                     assert np.array_equal(x[i, j], linalg.solve_hermitian(a[i, j], b[i, j], ridge))
 
-    def test_indefinite_member_falls_back_alone(self):
+    def test_indefinite_member_raises_with_its_index(self):
         # Cholesky fails for the stack; each matrix is then tested alone.
         a = np.array([[[2.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
-        x = linalg.solve_hermitian(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
-        assert np.allclose(a @ x, np.eye(2), atol=1e-12)
-
-    def test_lu_member_among_accepted_matches_solving_each_alone(self):
-        # The stack's one batched solve gives the accepted members the same
-        # bits as solving each alone; the indefinite member takes LU.
-        rng = np.random.default_rng(11)
-        g = crandn(rng, 5, 4, 4)
-        a = g @ g.conj().swapaxes(-1, -2)
-        q, _ = np.linalg.qr(crandn(rng, 4, 4))
-        a[3] = (q * np.array([1.0, -2.0, 3.0, -0.5])) @ q.conj().T
-        b = crandn(rng, 5, 4, 3)
-        x = linalg.solve_hermitian(a, b)
-        assert np.allclose(a[3] @ x[3], b[3], atol=1e-12)
-        for i in range(5):
-            assert np.array_equal(x[i], linalg.solve_hermitian(a[i], b[i]))
+        with pytest.raises(SingularMatrixError, match="indefinite") as info:
+            linalg.solve_hermitian(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert info.value.index == 1
 
     @pytest.mark.parametrize("position", [(0, 0), (1, 2), (2, 2)])
-    def test_nan_member_gives_nan_without_failing_the_stack(self, position):
-        # A zero matrix with one NaN is rejected by Cholesky and, being
-        # exactly singular, would make numpy's own solve raise for the
-        # whole stack; it must reach only the LU fallback, which returns NaN.
+    def test_nan_member_raises_with_its_index(self, position):
+        # A zero matrix with one NaN is rejected by Cholesky; the error names
+        # it as non-finite, not as a pivot below a NaN scale.
         rng = np.random.default_rng(3)
         g = crandn(rng, 4, 3, 3)
         a = g @ g.conj().swapaxes(-1, -2)
         a[2] = 0.0
         a[2][position] = np.nan
         b = crandn(rng, 4, 3, 2)
-        x = linalg.solve_hermitian(a, b)
-        assert np.isnan(x[2]).all()
-        for i in (0, 1, 3):
-            assert np.array_equal(x[i], linalg.solve_hermitian(a[i], b[i]))
-            assert np.isfinite(x[i]).all()
+        with pytest.raises(SingularMatrixError, match="non-finite") as info:
+            linalg.solve_hermitian(a, b)
+        assert info.value.index == 2
+
+    def test_infinite_member_raises_as_non_finite(self):
+        # An overflowing augmentation weight puts inf on the diagonal; the
+        # norm of such a matrix warns (inf * 0), which the CLI silences too.
+        a = np.stack([np.eye(3), np.diag([1.0, np.inf, 1.0])])
+        with pytest.raises(SingularMatrixError, match="non-finite") as info, \
+                np.errstate(invalid="ignore"):
+            linalg.solve_hermitian(a, np.ones((2, 3, 1)))
+        assert info.value.index == 1
+
+    def test_first_rejected_member_is_named(self):
+        a = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.full((3, 3), np.nan)])
+        with pytest.raises(SingularMatrixError, match="pivot") as info:
+            linalg.solve_hermitian(a, np.ones((4, 3, 1)))
+        assert info.value.index == 1
 
     def test_singular_member_raises_with_its_index(self):
         a = np.stack([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
