@@ -27,6 +27,7 @@ from .randomness import STREAM_LAYOUT
 # itself, so it reads the same records and gets no row of its own.)
 GAP_PAIRS = (("LZFP", "LMMSEP"), ("ULZFP", "ULMMSEP"))
 
+# The first six columns are the ones read_table_csv reads back.
 RESULT_HEADER = ["snr_db", "scheme", "u", "m", "bit_errors", "bits_total",
                  "ber", "std_err", "low_confidence"]
 
@@ -179,30 +180,35 @@ def emit_run_log(table: BerTable, path: str | Path) -> None:
 def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts.
 
+    The file must be UTF-8 with a header naming every column a record needs.
     A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
     Each row must make a valid BerRecord; a row that does not, or cannot be
     parsed, is named by file and line.
     """
     records = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                values = dict(
-                    scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
-                    snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
-                    bits_total=int(row["bits_total"]),
-                )
-                key = (values["scheme_label"], values["snr_db"])
-                if key in records:
-                    raise ConfigurationError(
-                        f"repeated record for scheme {key[0]} at {key[1]} dB")
-                records[key] = BerRecord(**values)
-            except KeyError as exc:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in RESULT_HEADER[:6] if c not in (reader.fieldnames or ())]
+            if missing:
                 raise ConfigurationError(
-                    f"{path}:{reader.line_num}: missing column {exc}") from exc
-            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
-                raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
+                    f"{path}:1: missing column {', '.join(map(repr, missing))}")
+            for row in reader:
+                try:
+                    values = dict(
+                        scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
+                        snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
+                        bits_total=int(row["bits_total"]),
+                    )
+                    key = (values["scheme_label"], values["snr_db"])
+                    if key in records:
+                        raise ConfigurationError(
+                            f"repeated record for scheme {key[0]} at {key[1]} dB")
+                    records[key] = BerRecord(**values)
+                except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                    raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     return list(records.values())
 
 

@@ -33,22 +33,13 @@ from .randomness import (STREAM_LAYOUT, box_muller, snr_key, start_stream, strea
                          uniforms, word_bits)
 
 LOW_CONFIDENCE_ERRORS = 10
-# Entry budgets of the realization engine's arrays (see _range_errors), each
-# bounding one array. Large enough that the per-call overhead of each numpy
-# stage is shared by many realizations or frames, small enough that the
-# arrays stay in cache and a block's memory does not grow with its range.
-# A block's stacked pools (realizations x pool users x tx antennas): 25
-# realizations of the paper's 20 x 8 pool. With short frames, a block's
-# draw, selection and precoder build cost mostly numpy and LAPACK call
-# overhead, so fewer, larger blocks run faster.
-POOL_ENTRIES = 4096
-# One realization's symbols in a frame group (frames x users x symbols).
-GROUP_ENTRIES = 2048
-# A block's frame group over all its realizations (at least one frame of one
-# realization): 12 realizations of 2 frames at the paper's 8 users x 100
-# symbols, so that a small pool cannot fill a block with more frames than
-# memory should hold. Larger groups measured slower.
-BLOCK_GROUP_ENTRIES = 20480
+# Entry budget of a block of the realization engine (see _range_errors): its
+# stacked pools (realizations x pool users x tx antennas), and one frame of
+# each realization (realizations x users x symbols), fit in this many
+# entries. Large enough that the per-call overhead of each numpy stage is
+# shared by many realizations, small enough that the arrays stay in cache and
+# a block's memory does not grow with its range.
+BLOCK_ENTRIES = 20480
 
 
 @dataclass(frozen=True)
@@ -185,48 +176,41 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, stop: int) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
 
-    A block holds as many realizations as fit their pools in POOL_ENTRIES
-    entries and their frame groups in BLOCK_GROUP_ENTRIES (at least one).
-    The pool draw, user selection and the precoder build run once per block
-    on stacked arrays. The frame stage then walks the block's frames in
-    groups: as many frames as fit one realization's symbols in GROUP_ENTRIES
-    entries (at least one), taken for all the block's realizations at once.
-    At the paper's 20 x 8 pool and 8 users, blocks of 1-frame, 1-symbol
-    realizations hold 25 of them, bound by their pools, and blocks of
-    10-frame, 100-symbol realizations hold 12, bound by their 2-frame groups.
+    A block holds as many realizations as fit their pools, and one frame of
+    each, in BLOCK_ENTRIES entries (at least one): at the paper's 20 x 8
+    pool and 8 users, 25 realizations of 100-symbol frames, or 128 of
+    1-symbol frames. The pool draw, user selection and precoder build run
+    once per block on stacked arrays, and the frame stage then walks the
+    block's realizations a frame at a time.
 
-    Frame stage: per block, the gain beta * effective_gain = H F_data of each
-    realization; per frame group, one batched matmul takes the group's
-    symbols, laid out as the bit words hold them, to y = H F_data x, and the
-    noise is added in place. The sent bits are the sign bits of the words'
-    32-bit halves (word_bits), which are already in the memory order of y's
-    (re, im) parts, and x is looked up from them (modem.qpsk_symbols). A bit
-    is wrong where its part of y is negative and the bit 0, or not negative
-    and the bit 1: an exact 0 or -0.0 decides 0, as in qpsk_demodulate.
-    Dividing by beta > 0 would change no sign, so it is skipped.
+    Frame stage: the gain beta * effective_gain = H F_data of each
+    realization, then per frame one batched matmul takes the symbols, laid
+    out as the bit words hold them, to y = H F_data x, and the noise is added
+    in place. The sent bits are the sign bits of the words' 32-bit halves
+    (word_bits), already in the memory order of y's (re, im) parts, and x is
+    looked up from them (modem.qpsk_symbols). A bit is wrong where its part
+    of y is negative and the bit 0, or not negative and the bit 1: an exact
+    0 or -0.0 decides 0, as in qpsk_demodulate. Dividing by beta > 0 would
+    change no sign, so it is skipped.
 
     Draw phase: the Philox key of (seed, SNR) is derived once per call, and
     realization r reads stream r of that key (r in the counter) as raw
     64-bit words in a fixed layout: the pool's u1 and u2 (n_pool * n_tx
     words each), then per frame k * n_sym bit words, k * n_sym noise u1 and
-    k * n_sym noise u2.
-    Each realization takes its pool and first frame group in one call, so a
-    realization whose frames fit one group takes all its words in one call.
-    Each later group is read from the stream word where it starts. The
-    layout is the order in which derived_stream's generator draws them
+    k * n_sym noise u2. Each realization takes its pool and first frame in
+    one call, and each later frame from the stream word where it starts.
+    This is the order in which derived_stream's generator draws them
     (draw_user_pool, then per frame integers(0, 2) and draw_awgn), so counts
     do not depend on the blocking.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
     per_frame = k * n_sym
-    group = min(config.frames, max(1, GROUP_ENTRIES // per_frame))
-    per_block = max(1, min(POOL_ENTRIES // (n_pool * n_tx),
-                           BLOCK_GROUP_ENTRIES // (group * per_frame)))
+    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, per_frame))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     philox = np.random.Philox(0)
     pool_words = 2 * n_pool * n_tx
-    words = np.empty((min(per_block, stop - start), pool_words + 3 * group * per_frame),
+    words = np.empty((min(per_block, stop - start), pool_words + 3 * per_frame),
                      dtype=np.uint64)
     key = stream_key(config.seed, snr_key(snr_db))
     errors = 0
@@ -245,28 +229,23 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             ) from exc
         # beta * effective_gain, transposed to act on rows of symbols.
         gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
-        for done in range(0, config.frames, group):
-            n_frames = min(group, config.frames - done)
-            frame_words = words[:n_real, pool_words:pool_words + 3 * n_frames * per_frame]
-            if done:
-                word = pool_words + 3 * done * per_frame
+        frame_words = words[:n_real, pool_words:].reshape(n_real, 3, per_frame)
+        for frame in range(config.frames):
+            if frame:
+                word = pool_words + 3 * frame * per_frame
                 for i in range(n_real):
                     frame_words[i] = start_stream(philox, key, first + i, word).random_raw(
-                        frame_words.shape[1])
-            frame_words = frame_words.reshape(n_real, n_frames, 3, per_frame)
-            # A realization's frames as n_frames * n_sym rows of k users: a
-            # frame's bit words hold its symbols in (symbol, user) order,
-            # each word the (re, im) bits of one symbol.
-            uses = n_frames * n_sym
-            sent = word_bits(frame_words[:, :, 0])
-            y = modem.qpsk_symbols(sent).reshape(n_real, uses, k) @ gain_t
-            noise_u = uniforms(frame_words[:, :, 1:]).reshape(n_real, n_frames, 2, k, n_sym)
-            # The noise is drawn as (user, symbol) per frame.
-            y_frames = y.reshape(n_real, n_frames, n_sym, k)
-            y_frames += box_muller(noise_u[:, :, 0], noise_u[:, :, 1], n0).swapaxes(-1, -2)
+                        3 * per_frame).reshape(3, per_frame)
+            # A frame's bit words hold its symbols in (symbol, user) order,
+            # each word the (re, im) bits of one symbol: n_sym rows of k users.
+            sent = word_bits(frame_words[:, 0])
+            y = modem.qpsk_symbols(sent).reshape(n_real, n_sym, k) @ gain_t
+            # The noise is drawn as (user, symbol).
+            noise_u = uniforms(frame_words[:, 1:]).reshape(n_real, 2, k, n_sym)
+            y += box_muller(noise_u[:, 0], noise_u[:, 1], n0).swapaxes(-1, -2)
             # y's (re, im) parts are in the order of the sent bits.
             errors += int(np.count_nonzero(
-                (y.view(np.float64) < 0) != sent.reshape(n_real, uses, 2 * k)))
+                (y.view(np.float64) < 0) != sent.reshape(n_real, n_sym, 2 * k)))
     return errors
 
 

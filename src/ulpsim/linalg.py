@@ -41,7 +41,10 @@ def solve_hermitian(a, b, ridge: float = 0.0) -> np.ndarray:
     n = a.shape[-1]
     m = (a + ridge * np.eye(n, dtype=np.complex128)).reshape(-1, n, n)
     rhs = b.reshape(len(m), n, b.shape[-1])
-    scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
+    # The norm of a non-finite matrix is inf or NaN, after an inf * 0 that
+    # would warn; such a matrix fails the test below and is named there.
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
     accepted = _cholesky_accepts(m, PIVOT_RTOL * scale)
     if not accepted.all():
         index = int(np.argmin(accepted))

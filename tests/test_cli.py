@@ -283,8 +283,27 @@ class TestMain:
         assert cli.main(["gaps", "--table", str(table)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        line = f"{table}:{2 if value is None else 4}: {message}"
+        # A missing column is named on the header line, before any row is read.
+        line = f"{table}:{1 if value is None else 4}: {message}"
         assert captured.err.startswith(f"configuration error: {line}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("content,message", [
+        (b"", "{table}:1: missing column 'snr_db', 'scheme', 'u', 'm', 'bit_errors', "
+              "'bits_total'"),
+        (b"foo,bar\n", "{table}:1: missing column 'snr_db', 'scheme', 'u', 'm', "
+                       "'bit_errors', 'bits_total'"),
+        (b"\xff\xfesnr_db,scheme\n", "{table}: not UTF-8 text: 'utf-8' codec can't decode"),
+    ], ids=["empty", "foreign_header", "not_utf8"])
+    def test_unreadable_table_exits_1_naming_the_file(self, content, message,
+                                                      tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_bytes(content)
+        assert cli.main(["gaps", "--table", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: {message.format(table=table)}")
         assert captured.err.count("\n") == 1
 
     def test_overflowing_u_exits_2_with_one_line(self, capsys):

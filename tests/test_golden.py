@@ -1,13 +1,12 @@
 """Behaviour-preservation gate: the output files of pinned sweeps, byte for byte.
 
 A refactor that keeps the random-stream layout and the arithmetic must leave
-every hash below unchanged, at any worker count. At harness's default entry
-budgets (see harness._range_errors), the 20-realization sweep makes blocks
-of 12 and 8 realizations whose frames are taken 2 at a time; the 600x1x1
-sweep spans 24 blocks of 25 realizations, each reading all its words in one
-call; and the 3x7x700 sweep puts its 3 realizations in one block whose
-frames are taken 1 at a time, each frame read from its offset in every
-stream.
+every hash below unchanged, at any worker count. At harness's default
+BLOCK_ENTRIES (see harness._range_errors), the 20-realization sweep puts
+its realizations in one block, each frame after the first read from its
+offset in every stream; the 600x1x1 sweep spans blocks of 128 realizations
+and a partial last block, each realization reading all its words in one
+call; and the 3x7x700 sweep puts its 3 realizations in one block.
 
 Each run_log.jsonl line holds the config digest and the stream layout
 (randomness.STREAM_LAYOUT), so a new layout changes its hash. Layout 2, the

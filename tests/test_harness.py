@@ -24,17 +24,6 @@ from ulpsim.randomness import derived_stream, snr_key
 TINY = SimulationConfig(realizations=6, frames=2, symbols_per_frame=10, seed=99)
 
 
-def set_budgets(monkeypatch, group_entries):
-    """Set the engine's entry budgets in their default proportion, 2 : 1 : 10.
-
-    POOL_ENTRIES becomes 2 * group_entries, GROUP_ENTRIES group_entries and
-    BLOCK_GROUP_ENTRIES 10 * group_entries, so 2048 gives the defaults.
-    """
-    monkeypatch.setattr(harness, "POOL_ENTRIES", 2 * group_entries)
-    monkeypatch.setattr(harness, "GROUP_ENTRIES", group_entries)
-    monkeypatch.setattr(harness, "BLOCK_GROUP_ENTRIES", 10 * group_entries)
-
-
 class TestSnrMapping:
     def test_zero_db(self):
         assert snr_db_to_noise_variance(0.0) == pytest.approx(1.0)
@@ -163,45 +152,52 @@ class TestRunPoint:
         assert snr_db_to_noise_variance(4000.0) == 0.0
         assert record.bit_errors == 0
 
-    # TINY's realizations carry 160 pool entries and 2 frames of 80 symbols.
-    # With group entries (see set_budgets) 1, blocks hold 1 realization and
-    # take its frames 1 at a time; 160 gives blocks of 2 realizations (320
-    # pool entries, 1600 in the frame group) and 400 blocks of 5 (800 pool
-    # entries), both taking frames 2 at a time; 2048, 8192 and 10**6 give one
-    # block of all 6, each realization's words in one call.
+    def test_noiseless_unified_floor(self):
+        # README's floor: at 4000 dB the noise variance is 0, so ULMMSEP's
+        # regularizer u^2 + m * 0 is ULZFP's, and both keep the residual
+        # interference of u = 1, while zero forcing removes it.
+        config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=100, seed=1)
+        ulzfp, ulmmsep, lzfp = (run_point(config, SchemeMode.from_label(label), 4000.0)
+                                for label in ("ULZFP", "ULMMSEP", "LZFP"))
+        assert ulzfp.bit_errors == ulmmsep.bit_errors
+        assert 8e-3 <= ulzfp.ber <= 1.2e-2
+        assert lzfp.bit_errors == 0
+
+    # TINY's realizations carry 160 pool entries and 2 frames of 80 symbols,
+    # so the pools bind. With BLOCK_ENTRIES 1, below even a frame, and 160,
+    # blocks hold 1 realization; 400 gives blocks of 2, and 800 blocks of 5
+    # with a partial last block; 2048, 8192 and 10**6 give one block of all 6.
     @pytest.mark.parametrize("label", ["LZFP", "ULMMSEP"])
-    @pytest.mark.parametrize("group_entries", [1, 160, 400, 2048, 8192, 10**6])
-    def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, group_entries):
+    @pytest.mark.parametrize("block_entries", [1, 160, 400, 800, 2048, 8192, 10**6])
+    def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
         scheme = SchemeMode.from_label(label)
         whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
-        set_budgets(monkeypatch, group_entries)
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
         parts = [(0, 1), (1, 5), (5, 6)]
         assert sum(_range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
         assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
         assert 0 < whole <= TINY.bits_per_point
 
-    # 14 realizations of 3 frames of 800 symbols, with 160 pool entries each.
-    # With group entries (see set_budgets) 1, blocks hold 1 realization, and
-    # with 900 blocks of 11 (9000 frame-group entries), both taking frames 1
-    # at a time; 2048, the defaults, gives blocks of 12 and 2 taking frames 2
-    # at a time, bound by the 20480-entry frame group and not by the pools
-    # (25 would fit); 8192 gives one block whose realizations take all their
-    # words in one call. Every frame group after the first is read at its
-    # stream offset.
-    @pytest.mark.parametrize("group_entries", [1, 900, 2048, 8192])
+    # 14 realizations of 3 frames of 800 symbols, with 160 pool entries each,
+    # so the frames bind. With BLOCK_ENTRIES 1 and 500, below a frame, and
+    # 900, blocks hold 1 realization; 2048 gives blocks of 2, 8192 blocks of
+    # 10 and 4, and 20480, the default, one block of all 14. Every frame
+    # after the first is read at its stream offset.
+    @pytest.mark.parametrize("block_entries", [1, 500, 900, 2048, 8192, 20480])
     def test_split_frames_of_many_realizations_match_reference(self, monkeypatch,
-                                                               group_entries):
+                                                               block_entries):
         config = SimulationConfig(realizations=14, frames=3, symbols_per_frame=100, seed=5)
         scheme = SchemeMode.from_label("LMMSEP")
         expected = reference_errors(config, scheme, 4.0, 0, 14)
-        set_budgets(monkeypatch, group_entries)
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
         assert _range_errors(config, scheme, 4.0, 0, 14) == expected > 0
         parts = [(0, 3), (3, 13), (13, 14)]
         assert sum(_range_errors(config, scheme, 4.0, a, b) for a, b in parts) == expected
 
-    # One tx antenna serving 1 of 1 users: the pools of all 16 realizations
-    # fit in one block, their 20000-symbol frames do not, so the range is
-    # taken a realization at a time and needs no more memory than one of them.
+    # One tx antenna serving 1 of 1 users: a block's 20480 entries hold the
+    # pools of all 16 realizations but only one 20000-symbol frame, so the
+    # range is taken a realization at a time and needs no more memory than
+    # one of them.
     def test_long_frames_of_a_small_pool_take_one_realization_at_a_time(self):
         config = SimulationConfig(tx_antennas=1, pool_users=1, active_users=1,
                                   realizations=16, frames=2, symbols_per_frame=20000, seed=3)
@@ -218,7 +214,7 @@ class TestRunPoint:
         assert peak_bytes(16) < 2 * peak_bytes(1)
 
     # 1-frame, 1-symbol realizations of the paper's 20 x 8 pool: a block
-    # holds the 25 whose pools fit POOL_ENTRIES, so a range of 2000 is 80
+    # holds the 128 whose pools fit BLOCK_ENTRIES, so a range of 2000 is 16
     # such blocks and needs no more memory than one of them.
     def test_many_short_realizations_take_one_pool_block_at_a_time(self):
         config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=1, seed=8)
@@ -232,7 +228,7 @@ class TestRunPoint:
             finally:
                 tracemalloc.stop()
 
-        assert peak_bytes(2000) < 2 * peak_bytes(25)
+        assert peak_bytes(2000) < 2 * peak_bytes(harness.BLOCK_ENTRIES // 160)
 
     def test_singular_build_names_its_realization(self, monkeypatch):
         select = harness.chan.select_users
@@ -301,10 +297,9 @@ def reference_errors(config, scheme, snr_db, start, stop):
 class TestRangeErrorsMatchReference:
     """The raw-word engine against the per-realization draws it replaces.
 
-    At the default entry budgets, 20x10x100 makes blocks of 12 and 8
-    realizations with frames taken 2 at a time (the frame group binds),
-    600x1x1 puts 25 realizations in a block (the pools bind), and 3x7x700
-    puts all 3 in one block with frames taken 1 at a time.
+    At the default BLOCK_ENTRIES, 20x10x100 puts all 20 realizations in one
+    block (25 would fit), 600x1x1 makes blocks of 128 and a partial 88 (the
+    pools bind), and 3x7x700 puts all 3 in one block (the frames bind).
     """
 
     @pytest.mark.parametrize("shape,seed,snr_db,offset,label,data_block_only", [
@@ -327,29 +322,30 @@ class TestRangeErrorsMatchReference:
 
     # 3 tx antennas and 5 pool users: 30 pool words, then frames of 3159
     # words, so frames 1 to 4 start at words 3189, 6348, 9507 and 12666,
-    # which are 1, 0, 3 and 2 past a multiple of 4. With group entries (see
-    # set_budgets) 1 or 2048, below a realization's 1053-symbol frame, every
-    # frame after the first is read at its own offset; with 2048 all 4
-    # realizations share one block.
-    @pytest.mark.parametrize("group_entries", [1, 2048, 10**6])
-    def test_unaligned_stream_offsets(self, monkeypatch, group_entries):
+    # which are 1, 0, 3 and 2 past a multiple of 4. Every frame after the
+    # first is read at its own offset. The 1053-symbol frames bind: with
+    # BLOCK_ENTRIES 1 and 2048 blocks hold 1 realization, with 3159 they hold
+    # 3 and a partial 1, and with 10**6 all 4 share one block.
+    @pytest.mark.parametrize("block_entries", [1, 2048, 3159, 10**6])
+    def test_unaligned_stream_offsets(self, monkeypatch, block_entries):
         config = SimulationConfig(tx_antennas=3, active_users=3, pool_users=5,
                                   realizations=4, frames=5, symbols_per_frame=351, seed=11)
         scheme = SchemeMode.from_label("ULMMSEP")
-        set_budgets(monkeypatch, group_entries)
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
         errors = _range_errors(config, scheme, 0.0, 0, 4)
         assert errors == reference_errors(config, scheme, 0.0, 0, 4) > 0
 
-    # 60x1x1 at the default budgets: the 20 x 8 pools bind, at 25 realizations
-    # a block, so the parts (0, 7), (7, 51) and (51, 60) make blocks of 7,
-    # then 25 and a partial 19, then 9, and the whole range 25, 25 and 10.
+    # 300x1x1 at the default BLOCK_ENTRIES: the 20 x 8 pools bind, at 128
+    # realizations a block, so the whole range makes blocks of 128, 128 and
+    # a partial 44, and the parts (0, 7), (7, 251) and (251, 300) make blocks
+    # of 7, then 128 and a partial 116, then 49.
     def test_pool_budget_binds_with_a_partial_last_block(self):
-        assert harness.POOL_ENTRIES // (20 * 8) == 25 < harness.BLOCK_GROUP_ENTRIES // 8
-        config = SimulationConfig(realizations=60, frames=1, symbols_per_frame=1, seed=21)
+        assert harness.BLOCK_ENTRIES // (20 * 8) == 128
+        config = SimulationConfig(realizations=300, frames=1, symbols_per_frame=1, seed=21)
         scheme = SchemeMode.from_label("LMMSEP")
-        expected = reference_errors(config, scheme, 0.0, 0, 60)
-        assert _range_errors(config, scheme, 0.0, 0, 60) == expected > 0
-        parts = [(0, 7), (7, 51), (51, 60)]
+        expected = reference_errors(config, scheme, 0.0, 0, 300)
+        assert _range_errors(config, scheme, 0.0, 0, 300) == expected > 0
+        parts = [(0, 7), (7, 251), (251, 300)]
         assert sum(_range_errors(config, scheme, 0.0, a, b) for a, b in parts) == expected
 
     def test_exact_zero_decides_bit_zero(self, monkeypatch):

@@ -117,7 +117,7 @@ def test_draws_after_bits_stay_aligned():
 
 
 def test_box_muller_does_not_depend_on_batching():
-    # The harness transforms strided (n_real, n_frames, k, n_sym) views of
+    # The harness transforms strided (n_real, k, n_sym) views of
     # its noise uniforms, the reference path contiguous (k, n_sym) arrays;
     # lengths 1-79 cover every SIMD tail of the float32 cos and sin.
     for n_sym in range(1, 80):
