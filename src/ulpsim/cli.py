@@ -180,14 +180,14 @@ def emit_run_log(table: BerTable, path: str | Path) -> None:
 def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts.
 
-    The file must be UTF-8 with a header naming every column a record needs.
+    The file must be UTF-8 (BOM allowed) with a header naming the record columns.
     A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
     Each row must make a valid BerRecord; a row that does not, or cannot be
     parsed, is named by file and line.
     """
     records = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in RESULT_HEADER[:6] if c not in (reader.fieldnames or ())]
             if missing:
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Linear precoders: plain/regularized channel inversion and the unified
 (augmented-channel) family, with transmit-power normalization.
 
-The unified precoder is computed through the column-space identity
-(H_u^H H_u + m*sigma2*I)^{-1} H_u^H, which stays well defined at m = 0
-(where the row-space expression is not invertible for u > 0) and equals the
-Moore-Penrose pseudo-inverse of the augmented channel there.
+All four schemes are one regularized inversion with c = u^2 + m*sigma2: the
+data block is H^H (H H^H + c I)^{-1}, and for u > 0 the trailing block is
+u (I - F_data H) / c, which by the push-through identity equals
+u (H^H H + c I)^{-1} for any n_active <= n_tx.
 
 Every function takes the channel H as an (..., n_active, n_tx) array, whose
 leading batch axes hold one realization per entry, and builds one precoder
@@ -109,11 +109,7 @@ def build_conventional(h: np.ndarray, m: float, sigma2: float) -> Precoder:
 
     m = 0 is plain zero-forcing; m > 0 regularizes with m*sigma2.
     """
-    gram = h @ h.conj().swapaxes(-1, -2)
-    # X = (H H^H + ridge I)^{-1} H, so F_raw = X^H = H^H (H H^H + ridge I)^{-1}.
-    x = solve_hermitian(gram, h, ridge=m * sigma2)
-    f, beta = power_scale(x.conj().swapaxes(-1, -2), h.shape[-1])
-    return Precoder(F=f, beta=beta, mode=SchemeMode(0.0, m))
+    return build_unified(h, 0.0, m, sigma2)
 
 
 def build_unified(
@@ -123,27 +119,27 @@ def build_unified(
     sigma2: float,
     normalize_data_block_only: bool = False,
 ) -> Precoder:
-    """Unified precoder (H^H H + (u^2 + m*sigma2) I)^{-1} [H^H  u*I].
+    """Unified precoder (H^H H + c I)^{-1} [H^H  u*I] with c = u^2 + m*sigma2.
 
-    At u = 0 the trailing columns vanish and the result reduces exactly to
-    build_conventional. By default the power normalization covers the full
-    augmented matrix, trailing columns included; normalize_data_block_only
-    restricts it to the data columns.
+    At u = 0 the trailing columns vanish and the result is the conventional
+    inversion. By default the power normalization covers the full matrix,
+    trailing columns included; normalize_data_block_only restricts it to
+    the data columns.
     """
-    if u == 0:
-        return build_conventional(h, m, sigma2)
-    n_active, n_tx = h.shape[-2:]
-    scaled_eye = np.broadcast_to(u * np.eye(n_tx, dtype=np.complex128),
-                                 h.shape[:-2] + (n_tx, n_tx))
-    hu = np.concatenate([h, scaled_eye], axis=-2)
-    huh = hu.conj().swapaxes(-1, -2)
-    f_raw = solve_hermitian(huh @ hu, huh, ridge=m * sigma2)
-    if normalize_data_block_only:
-        _, beta = power_scale(f_raw[..., :n_active], n_tx)
-        f = per_matrix(beta) * f_raw
-    else:
-        f, beta = power_scale(f_raw, n_tx)
-    return Precoder(F=f, beta=beta, mode=SchemeMode(u, m))
+    n_tx = h.shape[-1]
+    c = u * u + m * sigma2
+    gram = h @ h.conj().swapaxes(-1, -2)
+    # X = (H H^H + c I)^{-1} H, so F_data = X^H = H^H (H H^H + c I)^{-1}.
+    f_data = solve_hermitian(gram, h, ridge=c).conj().swapaxes(-1, -2)
+    f_raw = f_data
+    if u > 0:
+        # A c lost in the rounding of H H^H leaves I - F_data H rounding noise.
+        if np.any(c <= np.finfo(float).eps * np.linalg.norm(gram, axis=(-2, -1))):
+            raise DegeneratePrecoderError(f"u^2 + m*sigma2 = {c:.3g} is below the rounding "
+                                          "of H H^H; u = 0 is the conventional inversion")
+        f_raw = np.concatenate([f_data, (u / c) * (np.eye(n_tx) - f_data @ h)], axis=-1)
+    _, beta = power_scale(f_data if normalize_data_block_only else f_raw, n_tx)
+    return Precoder(F=per_matrix(beta) * f_raw, beta=beta, mode=SchemeMode(u, m))
 
 
 def build(

@@ -204,6 +204,18 @@ class TestMain:
         assert lines[0] == "snr_db,scheme_a,scheme_b,gap"
         assert len(lines) == 7
 
+    def test_gaps_from_csv_with_byte_order_mark(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli.main(["sweep", *TINY_FLAGS, "--out", str(out)])
+        plain = out / "results.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        assert cli.main(["gaps", "--table", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert cli.main(["gaps", "--table", str(marked)]) == 0
+        assert capsys.readouterr() == expected
+
     def test_configuration_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("bogus_key = 1\n")
@@ -321,6 +333,16 @@ class TestMain:
 
         monkeypatch.setattr(cli, "run_sweep", boom)
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 2
+
+    def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys):
+        def boom(config, scheme, snr_db, workers=1):
+            raise MemoryError("Unable to allocate 175. TiB for an array")
+
+        monkeypatch.setattr(cli, "run_point", boom)
+        assert cli.main(["point", "--scheme", "LZFP", "--point-snr", "20", *TINY_FLAGS]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "out of memory: Unable to allocate 175. TiB for an array\n"
 
     def test_io_error_exit_code(self, monkeypatch, tmp_path):
         # An --out that cannot be made fails before the sweep runs.

@@ -175,6 +175,12 @@ class TestBuildUnified:
         d = p.data_block()
         assert np.trace(d @ d.conj().T).real == pytest.approx(8.0, rel=1e-9)
 
+    @pytest.mark.parametrize("u,m", [(1e-8, 0.0), (1e-170, 0.0), (1e-170, 1.0)])
+    def test_regularizer_below_gram_rounding_raises(self, u, m):
+        # (u / c)(I - F_data H) would be amplified rounding noise, or 0 / 0.
+        with pytest.raises(DegeneratePrecoderError, match="below the rounding of H H"):
+            build_unified(random_channel(11), u=u, m=m, sigma2=0.0)
+
     def test_shapes(self):
         ch = random_channel(10)
         assert build_unified(ch, 1.0, 1.0, 0.1).F.shape == (8, 16)

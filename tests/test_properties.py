@@ -1,8 +1,9 @@
 """Property tests of the precoder identities over drawn channels and parameters.
 
 Channels are plain (n, n) arrays selected from pools drawn on derived_stream
-seeds, square as the harness requires. The examples are derandomized, so the
-suite draws the same cases on every run.
+seeds, square as the harness requires, except in the wide-channel test, which
+selects fewer users than antennas as a library caller may. The examples are
+derandomized, so the suite draws the same cases on every run.
 """
 
 import numpy as np
@@ -69,6 +70,31 @@ def test_zero_forcing_is_exact(seed, n, sigma2):
     p = build_conventional(h, 0.0, sigma2)
     residual = np.abs(h @ p.F / p.beta - np.eye(n)).max()
     assert residual <= 1e-14 * np.linalg.cond(h) ** 2 + 1e-13
+
+
+@PROPERTY
+@given(seed=seeds, n=st.integers(1, 7), extra=st.integers(1, 4),
+       u=st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
+       m=st.one_of(st.just(0.0), st.floats(0.05, 4.0)), sigma2=noise_variances)
+def test_wide_channel_is_regularized_inversion(seed, n, extra, u, m, sigma2):
+    # n users on n + extra antennas: H^H H is singular, so the column form
+    # needs c = u^2 + m*sigma2 > 0, and zero-forcing inverts H from the right.
+    n_tx = n + extra
+    h = select_users(draw_user_pool(derived_stream(seed), 2 * n_tx, n_tx), n)
+    p = build_unified(h, u, m, sigma2)
+    c = u * u + m * sigma2
+    hh = h.conj().T
+    if c == 0:
+        residual = np.abs(h @ p.F / p.beta - np.eye(n)).max()
+        assert residual <= 1e-14 * np.linalg.cond(h) ** 2 + 1e-13
+        return
+    if u > 0:
+        expected = np.linalg.solve(hh @ h + c * np.eye(n_tx), np.hstack([hh, u * np.eye(n_tx)]))
+    else:
+        # At u = 0 the column form's H^H H + c I has n_tx - n eigenvalues equal
+        # to c, which can be 5e-5: the row form is the well-conditioned reference.
+        expected = hh @ np.linalg.inv(h @ hh + c * np.eye(n))
+    assert np.abs(p.F / p.beta - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 @PROPERTY
