@@ -182,19 +182,25 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
 
     The file must be UTF-8 (BOM allowed) with a header naming the record columns.
     A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
-    Each row must make a valid BerRecord; a row that does not, or cannot be
-    parsed, is named by file and line.
+    Each row must have the header's number of fields and make a valid
+    BerRecord; a row that does not, or cannot be parsed, is named by file and
+    line.
     """
     records = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in RESULT_HEADER[:6] if c not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = [c for c in RESULT_HEADER[:6] if c not in header]
             if missing:
                 raise ConfigurationError(
                     f"{path}:1: missing column {', '.join(map(repr, missing))}")
-            for row in reader:
+            for fields in filter(None, reader):  # blank lines hold no row
                 try:
+                    if len(fields) != len(header):
+                        raise ConfigurationError(
+                            f"row has {len(fields)} of the header's {len(header)} fields")
+                    row = dict(zip(header, fields))
                     values = dict(
                         scheme_label=row["scheme"], u=float(row["u"]), m=float(row["m"]),
                         snr_db=float(row["snr_db"]), bit_errors=int(row["bit_errors"]),
@@ -205,10 +211,12 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
                         raise ConfigurationError(
                             f"repeated record for scheme {key[0]} at {key[1]} dB")
                     records[key] = BerRecord(**values)
-                except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                except ValueError as exc:
                     raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # for example a field over csv.field_size_limit()
+        raise ConfigurationError(f"{path}:{reader.line_num}: {exc}") from exc
     return list(records.values())
 
 

@@ -9,7 +9,10 @@ u (H^H H + c I)^{-1} for any n_active <= n_tx.
 Every function takes the channel H as an (..., n_active, n_tx) array, whose
 leading batch axes hold one realization per entry, and builds one precoder
 per matrix with its own beta; a single realization is the batch-of-one case
-without them.
+without them. The builders check u, m and sigma2 at entry, so c >= 0, and
+solve_hermitian solves the Gram stack they build from H. Only c = 0 on a
+rank-deficient channel makes it singular, so a stack is solved or rejected
+whole: a matrix that fails the Cholesky test gets no second path.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePrecoderError
-from .linalg import solve_hermitian
+from .errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 
 LABELS = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
+
+# Relative pivot threshold below which a factorization is declared singular.
+PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,50 @@ def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float | np.nd
     return per_matrix(beta) * f_raw, beta
 
 
+def solve_hermitian(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """Solve (A + ridge*I) X = B for Hermitian PSD A and ridge >= 0, for each system of a stack.
+
+    A is (..., n, n) and B is (..., n, k). One batched Cholesky factorization
+    tests every matrix against the PIVOT_RTOL floor; if all pass, one batched
+    solve of the unmodified stack serves them all, and each matrix gets the
+    same bits as if solved alone. Otherwise raises SingularMatrixError for the
+    first rejected matrix, with `index` set to its position in the flattened
+    stack and a message naming its pivot floor or its non-finite entries.
+    """
+    n = a.shape[-1]
+    m = (a + ridge * np.eye(n, dtype=np.complex128)).reshape(-1, n, n)
+    rhs = b.reshape(len(m), n, b.shape[-1])
+    # The norm of a non-finite matrix is inf or NaN, after an inf * 0 that
+    # would warn; such a matrix fails the test below and is named there.
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
+    accepted = _cholesky_accepts(m, PIVOT_RTOL * scale)
+    if not accepted.all():
+        index = int(np.argmin(accepted))
+        if np.isfinite(m[index]).all():
+            error = SingularMatrixError(
+                "matrix is singular or indefinite within tolerance: a Cholesky "
+                f"pivot squared is not above {PIVOT_RTOL:g} x scale {scale[index]:.3e}")
+        else:
+            error = SingularMatrixError("matrix has non-finite entries")
+        error.index = index
+        raise error
+    return np.linalg.solve(m, rhs).reshape(b.shape)
+
+
+def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack m: does Cholesky succeed with min pivot^2 above floor?"""
+    try:
+        c = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        # The stack holds a matrix that is not positive definite: test each alone.
+        if len(m) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_cholesky_accepts(m[i:i + 1], floor[i:i + 1])
+                               for i in range(len(m))])
+    return np.min(np.abs(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1) ** 2 > floor
+
+
 def build_conventional(h: np.ndarray, m: float, sigma2: float) -> Precoder:
     """Channel inversion H^H (H H^H + m*sigma2*I)^{-1}, power-normalized.
 
@@ -124,8 +173,13 @@ def build_unified(
     At u = 0 the trailing columns vanish and the result is the conventional
     inversion. By default the power normalization covers the full matrix,
     trailing columns included; normalize_data_block_only restricts it to
-    the data columns.
+    the data columns. Raises ConfigurationError for a u, m or sigma2 that is
+    not finite and nonnegative.
     """
+    mode = SchemeMode(u, m)
+    # Written so that NaN fails too.
+    if not 0 <= sigma2 < np.inf:
+        raise ConfigurationError(f"noise variance must be finite and nonnegative: sigma2={sigma2}")
     n_tx = h.shape[-1]
     c = u * u + m * sigma2
     gram = h @ h.conj().swapaxes(-1, -2)
@@ -139,7 +193,7 @@ def build_unified(
                                           "of H H^H; u = 0 is the conventional inversion")
         f_raw = np.concatenate([f_data, (u / c) * (np.eye(n_tx) - f_data @ h)], axis=-1)
     _, beta = power_scale(f_data if normalize_data_block_only else f_raw, n_tx)
-    return Precoder(F=per_matrix(beta) * f_raw, beta=beta, mode=SchemeMode(u, m))
+    return Precoder(F=per_matrix(beta) * f_raw, beta=beta, mode=mode)
 
 
 def build(

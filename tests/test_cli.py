@@ -306,7 +306,15 @@ class TestMain:
         (b"foo,bar\n", "{table}:1: missing column 'snr_db', 'scheme', 'u', 'm', "
                        "'bit_errors', 'bits_total'"),
         (b"\xff\xfesnr_db,scheme\n", "{table}: not UTF-8 text: 'utf-8' codec can't decode"),
-    ], ids=["empty", "foreign_header", "not_utf8"])
+        (b"x" * 131073 + b"\n", "{table}:1: field larger than field limit (131072)"),
+        (b"snr_db,scheme,u,m,bit_errors,bits_total\n14,LZFP," + b"0" * 131073 + b",0,0,240\n",
+         "{table}:2: field larger than field limit (131072)"),
+        (b"snr_db,scheme,u,m,bit_errors,bits_total\n14,LZFP,0\n",
+         "{table}:2: row has 3 of the header's 6 fields"),
+        (b"snr_db,scheme,u,m,bit_errors,bits_total\n\n14,LZFP,0,0,0,240,7\n",
+         "{table}:3: row has 7 of the header's 6 fields"),
+    ], ids=["empty", "foreign_header", "not_utf8", "oversized_header_field",
+            "oversized_row_field", "short_row", "long_row"])
     def test_unreadable_table_exits_1_naming_the_file(self, content, message,
                                                       tmp_path, capsys):
         table = tmp_path / "table.csv"

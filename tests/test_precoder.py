@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from ulpsim import precoder
 from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 from ulpsim.precoder import (
@@ -17,6 +18,98 @@ from ulpsim.randomness import derived_stream
 
 def random_channel(seed, n_users=8, n_tx=8, pool=20):
     return select_users(draw_user_pool(derived_stream(seed), pool, n_tx), n_users)
+
+
+def crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+class TestSolveHermitian:
+    def test_identity_system(self):
+        x = precoder.solve_hermitian(np.eye(2), np.array([[1.0], [2.0]]))
+        assert np.allclose(x, [[1.0], [2.0]])
+
+    def test_diagonal_scaling(self):
+        x = precoder.solve_hermitian(2.0 * np.eye(2), np.eye(2))
+        assert np.allclose(x, 0.5 * np.eye(2))
+
+    def test_residual_random_gram(self):
+        rng = np.random.default_rng(5)
+        g = crandn(rng, 4, 4)
+        a = g @ g.conj().T
+        b = crandn(rng, 4, 2)
+        x = precoder.solve_hermitian(a, b)
+        assert np.linalg.norm(a @ x - b) < 1e-10
+
+    def test_residual_bound_many_sizes(self):
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            n = int(rng.integers(2, 17))
+            g = crandn(rng, n, n)
+            a = g @ g.conj().T + 1e-3 * np.eye(n)
+            b = crandn(rng, n, 1)
+            ridge = float(rng.uniform(0, 1))
+            x = precoder.solve_hermitian(a, b, ridge)
+            m = a + ridge * np.eye(n)
+            bound = 1e-10 * (np.linalg.norm(a) + ridge) * max(np.linalg.norm(x), 1.0)
+            assert np.linalg.norm(m @ x - b) <= bound
+
+    def test_singular_raises_with_pivot(self):
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            precoder.solve_hermitian(np.zeros((3, 3)), np.eye(3))
+
+    def test_matches_per_matrix_solves(self):
+        rng = np.random.default_rng(7)
+        g = crandn(rng, 2, 3, 8, 8)
+        a = g @ g.conj().swapaxes(-1, -2)
+        b = crandn(rng, 2, 3, 8, 16)
+        for ridge in (0.0, 0.3):
+            x = precoder.solve_hermitian(a, b, ridge)
+            assert x.shape == b.shape
+            for i in range(2):
+                for j in range(3):
+                    assert np.array_equal(x[i, j],
+                                          precoder.solve_hermitian(a[i, j], b[i, j], ridge))
+
+    def test_indefinite_member_raises_with_its_index(self):
+        # Cholesky fails for the stack; each matrix is then tested alone.
+        a = np.array([[[2.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+        with pytest.raises(SingularMatrixError, match="indefinite") as info:
+            precoder.solve_hermitian(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("position", [(0, 0), (1, 2), (2, 2)])
+    def test_nan_member_raises_with_its_index(self, position):
+        # A zero matrix with one NaN is rejected by Cholesky; the error names
+        # it as non-finite, not as a pivot below a NaN scale.
+        rng = np.random.default_rng(3)
+        g = crandn(rng, 4, 3, 3)
+        a = g @ g.conj().swapaxes(-1, -2)
+        a[2] = 0.0
+        a[2][position] = np.nan
+        b = crandn(rng, 4, 3, 2)
+        with pytest.raises(SingularMatrixError, match="non-finite") as info:
+            precoder.solve_hermitian(a, b)
+        assert info.value.index == 2
+
+    def test_infinite_member_raises_as_non_finite(self):
+        # An overflowing augmentation weight puts inf on the diagonal.
+        a = np.stack([np.eye(3), np.diag([1.0, np.inf, 1.0])])
+        with pytest.raises(SingularMatrixError, match="non-finite") as info:
+            precoder.solve_hermitian(a, np.ones((2, 3, 1)))
+        assert info.value.index == 1
+
+    def test_first_rejected_member_is_named(self):
+        a = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.full((3, 3), np.nan)])
+        with pytest.raises(SingularMatrixError, match="pivot") as info:
+            precoder.solve_hermitian(a, np.ones((4, 3, 1)))
+        assert info.value.index == 1
+
+    def test_singular_member_raises_with_its_index(self):
+        a = np.stack([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+        with pytest.raises(SingularMatrixError, match="pivot") as info:
+            precoder.solve_hermitian(a, np.ones((4, 3, 1)))
+        assert info.value.index == 2
 
 
 class TestSchemeMode:
@@ -180,6 +273,34 @@ class TestBuildUnified:
         # (u / c)(I - F_data H) would be amplified rounding noise, or 0 / 0.
         with pytest.raises(DegeneratePrecoderError, match="below the rounding of H H"):
             build_unified(random_channel(11), u=u, m=m, sigma2=0.0)
+
+    @pytest.mark.parametrize("build,args", [
+        (build_unified, (1.0, 1.0, -0.5)),
+        (build_unified, (np.nan, 0.0, 0.1)),
+        (build_unified, (1.0, 1.0, np.inf)),
+        (build_conventional, (1.0, np.nan)),
+        (build_conventional, (-1.0, 0.1)),
+    ])
+    def test_bad_arguments_rejected_at_entry(self, build, args):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            build(random_channel(12), *args)
+
+    @pytest.mark.parametrize("u,m", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    def test_one_solve_per_stack(self, u, m, monkeypatch):
+        # The bench's solve span wraps precoder.solve_hermitian: each build
+        # must call it once, through the module global.
+        calls = []
+        solve = precoder.solve_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(precoder, "solve_hermitian", counting)
+        stack = np.stack([random_channel(seed) for seed in range(25)])
+        p = build_unified(stack, u, m, 0.1)
+        assert calls == [(25, 8, 8)]
+        assert p.beta.shape == (25,)
 
     def test_shapes(self):
         ch = random_channel(10)
