@@ -9,11 +9,6 @@ and noise; see _range_errors), the same words derived_stream would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
 BER gaps are paired comparisons and reduction gaps are exactly zero.
-
-Bits are decided on the received signal y = H F_data x + z itself. The
-receiver's gain control divides y by beta > 0, which changes no sign, so
-the decisions, and the counts, are those of qpsk_demodulate on
-transmit_receive's estimate y / beta.
 """
 
 from __future__ import annotations
@@ -61,6 +56,8 @@ class SimulationConfig:
     normalize_data_block_only: bool = False
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("tx_antennas", "pool_users", "active_users", "realizations",
                      "frames", "symbols_per_frame"):
             if getattr(self, name) < 1:
@@ -183,15 +180,11 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     once per block on stacked arrays, and the frame stage then walks the
     block's realizations a frame at a time.
 
-    Frame stage: the gain beta * effective_gain = H F_data of each
-    realization, then per frame one batched matmul takes the symbols, laid
-    out as the bit words hold them, to y = H F_data x, and the noise is added
-    in place. The sent bits are the sign bits of the words' 32-bit halves
-    (word_bits), already in the memory order of y's (re, im) parts, and x is
-    looked up from them (modem.qpsk_symbols). A bit is wrong where its part
-    of y is negative and the bit 0, or not negative and the bit 1: an exact
-    0 or -0.0 decides 0, as in qpsk_demodulate. Dividing by beta > 0 would
-    change no sign, so it is skipped.
+    Frame stage: per frame, modem.qpsk_modulate maps the sent bits in the
+    bit words' order, one batched matmul by H F_data takes them to
+    y = H F_data x, the noise is added in place, and modem.qpsk_demodulate
+    decides y. The receiver's division by beta > 0 changes no decision, so
+    it is skipped.
 
     Draw phase: the Philox key of (seed, SNR) is derived once per call, and
     realization r reads stream r of that key (r in the counter) as raw
@@ -239,13 +232,12 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             # A frame's bit words hold its symbols in (symbol, user) order,
             # each word the (re, im) bits of one symbol: n_sym rows of k users.
             sent = word_bits(frame_words[:, 0])
-            y = modem.qpsk_symbols(sent).reshape(n_real, n_sym, k) @ gain_t
+            y = modem.qpsk_modulate(sent).reshape(n_real, n_sym, k) @ gain_t
             # The noise is drawn as (user, symbol).
             noise_u = uniforms(frame_words[:, 1:]).reshape(n_real, 2, k, n_sym)
             y += box_muller(noise_u[:, 0], noise_u[:, 1], n0).swapaxes(-1, -2)
-            # y's (re, im) parts are in the order of the sent bits.
             errors += int(np.count_nonzero(
-                (y.view(np.float64) < 0) != sent.reshape(n_real, n_sym, 2 * k)))
+                modem.qpsk_demodulate(y) != sent.reshape(n_real, n_sym, 2 * k)))
     return errors
 
 

@@ -12,49 +12,33 @@ from .errors import ShapeError
 from .precoder import Precoder, per_matrix
 from .randomness import complex_normal
 
-_SQRT2 = np.sqrt(2.0)
+# A symbol's real or imaginary part for bit 0 and for bit 1.
+_LEVELS = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
 
 def qpsk_modulate(bits) -> np.ndarray:
     """Gray-map consecutive bit pairs along the last axis to unit-energy QPSK symbols.
 
     Pair (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2); b0 is the in-phase
-    bit, so (0,0) lands on (+1+1j)/sqrt(2).
+    bit, so (0,0) lands on (+1+1j)/sqrt(2). Bits are bool or integer 0/1:
+    each picks its part of a symbol from a 2-entry table, so the complex128
+    (re, im, re, ...) of the symbols sits in the bits' order. A float block
+    raises TypeError.
     """
     b = np.asarray(bits)
     if b.ndim < 1 or b.shape[-1] % 2 != 0:
         raise ShapeError(f"bit block must have an even-length last axis, got shape {b.shape}")
-    b0 = b[..., 0::2].astype(np.float64)
-    b1 = b[..., 1::2].astype(np.float64)
-    return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _SQRT2
-
-
-# qpsk_modulate's real or imaginary part for bit 0 and for bit 1: the parts
-# of (1 - 1j)/sqrt(2), the symbol of the pair (0, 1).
-_LEVELS = qpsk_modulate([0, 1]).view(np.float64)
-
-
-def qpsk_symbols(bits: np.ndarray) -> np.ndarray:
-    """qpsk_modulate's symbols, bit for bit, of a bool (or 0/1) bit block.
-
-    Each bit picks its part of a symbol from a 2-entry table, so an
-    even-length last axis of bits (b0, b1, b0, ...) becomes the
-    complex128 (re, im, re, ...) of half as many symbols.
-    """
-    return _LEVELS.take(bits).view(np.complex128)
+    return _LEVELS.take(b).view(np.complex128)
 
 
 def qpsk_demodulate(symbols) -> np.ndarray:
     """Minimum-distance decisions: sign of real/imaginary part per bit.
 
-    Each symbol along the last axis becomes a bit pair; exact zero decides
-    bit 0 (the positive half-plane).
+    Each symbol along the last axis becomes a bool bit pair in (re, im)
+    order; an exact 0 or -0.0 decides bit 0 (the positive half-plane).
     """
     s = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
-    bits = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=np.int64)
-    bits[..., 0::2] = s.real < 0
-    bits[..., 1::2] = s.imag < 0
-    return bits
+    return np.ascontiguousarray(s).view(np.float64) < 0
 
 
 def draw_awgn(rng: np.random.Generator, n: int, n0: float) -> np.ndarray:

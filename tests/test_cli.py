@@ -154,6 +154,11 @@ BAD_INPUTS = [
     # A weight the scheme does not use is checked all the same.
     (["point", "--scheme", "LZFP", "--u", "nan", "--point-snr", "20"], "u=nan"),
     (["point", "--scheme", "LZFP", "--m", "inf", "--point-snr", "20"], "m=inf"),
+    # A seed outside [0, 2**64) would alias one inside it.
+    (["point", "--scheme", "LZFP", "--point-snr", "0", "--seed", "-1"],
+     "seed must be in [0, 2**64), got -1"),
+    (["sweep", "--seed", "18446744073709551658"],
+     "seed must be in [0, 2**64), got 18446744073709551658"),
 ]
 
 
@@ -225,7 +230,8 @@ class TestMain:
                              ids=[f"flags{i}" for i in range(len(BAD_INPUTS))])
     def test_bad_input_exits_1_with_one_line(self, flags, message, tmp_path, capsys):
         out = ["--out", str(tmp_path / "x")] if flags[0] == "sweep" else []
-        assert cli.main([*flags, *TINY_FLAGS, *out]) == 1
+        # The case's flags come last, so that they override TINY_FLAGS' seed.
+        assert cli.main([flags[0], *TINY_FLAGS, *flags[1:], *out]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: ")

@@ -45,8 +45,9 @@ scheme_lists = st.lists(st.sampled_from(LABELS), min_size=1, unique=True).map(
 
 # Each known key but the geometry, as (parsed value, text) pairs.
 VALUES = {
-    # An odd seed past 2**53 has no exact float, so it must be parsed as an int.
-    "seed": st.one_of(st.integers(-2**31, 2**31), st.integers(2**53, 2**80).map(lambda v: v | 1)
+    # Seeds lie in [0, 2**64). An odd seed past 2**53 has no exact float, so
+    # it must be parsed as an int.
+    "seed": st.one_of(st.integers(0, 2**31), st.integers(2**53, 2**64 - 1).map(lambda v: v | 1)
                       ).map(lambda v: (v, str(v))),
     "realizations": counts(10**9),
     "frames": counts(10**6),

@@ -372,7 +372,7 @@ class TestRangeErrorsMatchReference:
     def test_indices_past_32_bits(self):
         # A range across 2**53 + 1, the first index a float64 cannot hold,
         # and one that ends at the last index, 2**64 - 1.
-        config = SimulationConfig(frames=2, symbols_per_frame=50, seed=-1)
+        config = SimulationConfig(frames=2, symbols_per_frame=50, seed=2**64 - 1)
         scheme = SchemeMode.from_label("ULZFP")
         for start, stop in ((2**53 - 1, 2**53 + 2), (2**64 - 3, 2**64)):
             errors = _range_errors(config, scheme, 0.0, start, stop)

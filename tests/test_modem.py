@@ -5,8 +5,7 @@ import pytest
 
 from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ShapeError
-from ulpsim.modem import (draw_awgn, qpsk_demodulate, qpsk_modulate, qpsk_symbols,
-                          transmit_receive)
+from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import build_conventional, build_unified, effective_gain
 from ulpsim.randomness import derived_stream
 
@@ -48,17 +47,25 @@ class TestQpskMapping:
     def test_boundary_decides_zero(self):
         assert list(qpsk_demodulate([0.0 - 1.0j])) == [0, 1]
         assert list(qpsk_demodulate([-1.0 + 0.0j])) == [1, 0]
+        decided = qpsk_demodulate([complex(-0.0, -0.0)])
+        assert decided.dtype == bool
+        assert list(decided) == [0, 0]
 
     def test_odd_length_rejected(self):
         with pytest.raises(ShapeError):
             qpsk_modulate([0, 1, 0])
 
-    def test_table_lookup_is_qpsk_modulate_on_every_pair(self):
+    def test_float_bits_rejected(self):
+        with pytest.raises(TypeError):
+            qpsk_modulate(np.array([0.0, 1.0]))
+
+    def test_every_pair_is_its_literal_symbol(self):
         bits = np.array([0, 0, 1, 0, 0, 1, 1, 1])
+        expected = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
         for sent in (bits, bits.astype(bool)):
-            got = qpsk_symbols(sent)
+            got = qpsk_modulate(sent)
             assert got.dtype == np.complex128
-            assert got.tobytes() == qpsk_modulate(bits).tobytes()
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestAwgn:

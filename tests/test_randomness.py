@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ulpsim.modem import qpsk_modulate, qpsk_symbols
+from ulpsim.modem import qpsk_modulate
 from ulpsim.randomness import (
     box_muller,
     derived_stream,
@@ -76,7 +76,7 @@ def test_word_bits_match_generator_integers():
     bits = derived_stream(7, 1, 2).integers(0, 2, 2000)
     sent = word_bits(words)
     assert sent.dtype == bool and np.array_equal(sent, bits)
-    assert np.array_equal(qpsk_symbols(sent), qpsk_modulate(bits))
+    assert np.array_equal(qpsk_modulate(sent), qpsk_modulate(bits))
 
 
 def generator_drawing(word: int) -> np.random.Generator:
