@@ -4,11 +4,15 @@ Each channel realization gets its own counter-based random stream: the
 Philox key comes from (master seed, SNR) and the realization index goes in
 the counter, so error counts are a pure function of the configuration: any
 worker count, any scheduling order, same table. The stream is read as raw
-Philox words in a fixed per-realization layout (pool, then each frame's bits
-and noise; see _range_errors), the same words derived_stream would draw.
+Philox words in a fixed per-realization layout (the pool, then each frame's
+bits and noise at its own offset; see _range_errors), the same words
+derived_stream would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
-BER gaps are paired comparisons and reduction gaps are exactly zero.
+BER gaps are paired comparisons and reduction gaps are exactly zero. A
+sweep draws each SNR's channels once with draw_channels and holds them,
+16 * active_users * tx_antennas bytes per realization, while that SNR's
+cells run; a lone run_point draws each block's channels inside the block.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ LOW_CONFIDENCE_ERRORS = 10
 # each realization (realizations x users x symbols), fit in this many
 # entries. Large enough that the per-call overhead of each numpy stage is
 # shared by many realizations, small enough that the arrays stay in cache and
-# a block's memory does not grow with its range.
+# a block's memory does not grow with its range. draw_channels draws a sweep's
+# channels a pool block at a time too; only the channels it keeps, 16 * users
+# * tx antennas bytes per realization, grow with the realizations.
 BLOCK_ENTRIES = 20480
 
 
@@ -169,16 +175,54 @@ def _snr_stream_key(snr_db: float, offset_db: float) -> int:
         f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
+def _block_channels(config: SimulationConfig, philox: np.random.Philox, key: np.ndarray,
+                    start: int, stop: int) -> np.ndarray:
+    """Channels of realizations [start, stop), drawn together in one block.
+
+    Realization r's pool is decoded from the first 2 * n_pool * n_tx words
+    of stream r of key (its u1, then its u2), as draw_user_pool draws it,
+    and select_users keeps its strongest users. philox is reused.
+    """
+    n_pool, n_tx = config.pool_users, config.tx_antennas
+    pool_words = 2 * n_pool * n_tx
+    words = np.empty((stop - start, pool_words), dtype=np.uint64)
+    for i in range(stop - start):
+        words[i] = start_stream(philox, key, start + i).random_raw(pool_words)
+    pool_u = uniforms(words).reshape(stop - start, 2, n_pool, n_tx)
+    return chan.select_users(box_muller(pool_u[:, 0], pool_u[:, 1], 1.0), config.active_users)
+
+
+def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
+    """The read-only (realizations, active_users, tx_antennas) channels of one SNR.
+
+    Entry r is the channel stream r of the (seed, SNR) key selects, so every
+    scheme's run_point at this SNR can share them (channels=). They are drawn
+    a block of pools at a time, as many as fit BLOCK_ENTRIES, and kept at 16 *
+    active_users * tx_antennas bytes per realization.
+    """
+    key = stream_key(config.seed, _snr_stream_key(snr_db, config.snr_offset_db))
+    philox = np.random.Philox(0)
+    n = config.realizations
+    per_block = max(1, BLOCK_ENTRIES // (config.pool_users * config.tx_antennas))
+    channels = np.empty((n, config.active_users, config.tx_antennas), dtype=np.complex128)
+    for first in range(0, n, per_block):
+        stop = min(first + per_block, n)
+        channels[first:stop] = _block_channels(config, philox, key, first, stop)
+    channels.flags.writeable = False
+    return channels
+
+
 def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
-                  snr_db: float, start: int, stop: int) -> int:
+                  snr_db: float, start: int, stop: int, channels: np.ndarray | None = None) -> int:
     """Bit errors of realizations [start, stop), evaluated a block at a time.
 
-    A block holds as many realizations as fit their pools, and one frame of
-    each, in BLOCK_ENTRIES entries (at least one): at the paper's 20 x 8
-    pool and 8 users, 25 realizations of 100-symbol frames, or 128 of
-    1-symbol frames. The pool draw, user selection and precoder build run
-    once per block on stacked arrays, and the frame stage then walks the
-    block's realizations a frame at a time.
+    channels, if given, holds the channels of [start, stop), a slice of
+    draw_channels; otherwise each block draws its own. A block holds as many
+    realizations as fit their pools, and one frame of each, in BLOCK_ENTRIES
+    entries (at least one): at the paper's 20 x 8 pool and 8 users, 25
+    realizations of 100-symbol frames, or 128 of 1-symbol frames. The
+    precoder build runs once per block on the stacked channels, and the frame
+    stage then walks the block's realizations a frame at a time.
 
     Frame stage: per frame, modem.qpsk_modulate maps the sent bits in the
     bit words' order, one batched matmul by H F_data takes them to
@@ -190,11 +234,11 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     realization r reads stream r of that key (r in the counter) as raw
     64-bit words in a fixed layout: the pool's u1 and u2 (n_pool * n_tx
     words each), then per frame k * n_sym bit words, k * n_sym noise u1 and
-    k * n_sym noise u2. Each realization takes its pool and first frame in
-    one call, and each later frame from the stream word where it starts.
+    k * n_sym noise u2. Every frame, the first included, is read from the
+    stream word where it starts, 2 * n_pool * n_tx + 3 * frame * k * n_sym.
     This is the order in which derived_stream's generator draws them
     (draw_user_pool, then per frame integers(0, 2) and draw_awgn), so counts
-    do not depend on the blocking.
+    do not depend on the blocking or on where the channels were drawn.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
@@ -202,17 +246,15 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, per_frame))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     philox = np.random.Philox(0)
-    pool_words = 2 * n_pool * n_tx
-    words = np.empty((min(per_block, stop - start), pool_words + 3 * per_frame),
-                     dtype=np.uint64)
+    block_words = np.empty((min(per_block, stop - start), 3 * per_frame), dtype=np.uint64)
     key = stream_key(config.seed, snr_key(snr_db))
     errors = 0
     for first in range(start, stop, per_block):
         n_real = min(per_block, stop - first)
-        for i in range(n_real):
-            words[i] = start_stream(philox, key, first + i).random_raw(words.shape[1])
-        pool_u = uniforms(words[:n_real, :pool_words]).reshape(n_real, 2, n_pool, n_tx)
-        h = chan.select_users(box_muller(pool_u[:, 0], pool_u[:, 1], 1.0), k)
+        if channels is None:
+            h = _block_channels(config, philox, key, first, first + n_real)
+        else:
+            h = channels[first - start:first - start + n_real]
         try:
             prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
         except SingularMatrixError as exc:
@@ -222,13 +264,12 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             ) from exc
         # beta * effective_gain, transposed to act on rows of symbols.
         gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
-        frame_words = words[:n_real, pool_words:].reshape(n_real, 3, per_frame)
+        words = block_words[:n_real]
+        frame_words = words.reshape(n_real, 3, per_frame)
         for frame in range(config.frames):
-            if frame:
-                word = pool_words + 3 * frame * per_frame
-                for i in range(n_real):
-                    frame_words[i] = start_stream(philox, key, first + i, word).random_raw(
-                        3 * per_frame).reshape(3, per_frame)
+            word = 2 * n_pool * n_tx + 3 * frame * per_frame
+            for i in range(n_real):
+                words[i] = start_stream(philox, key, first + i, word).random_raw(3 * per_frame)
             # A frame's bit words hold its symbols in (symbol, user) order,
             # each word the (re, im) bits of one symbol: n_sym rows of k users.
             sent = word_bits(frame_words[:, 0])
@@ -242,23 +283,33 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
 
 
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
-              workers: int = 1) -> BerRecord:
-    """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts."""
+              workers: int = 1, *, channels: np.ndarray | None = None) -> BerRecord:
+    """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
+
+    channels, if given, are draw_channels(config, snr_db), which a sweep
+    draws once per SNR for all its schemes; otherwise the cell draws them.
+    """
     _snr_stream_key(snr_db, config.snr_offset_db)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
+    shape = (n, config.active_users, config.tx_antennas)
+    if channels is not None and np.shape(channels) != shape:
+        raise ConfigurationError(f"channels must have shape {shape} (realizations, "
+                                 f"active_users, tx_antennas), got {np.shape(channels)}")
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
-        errors = _range_errors(config, scheme, snr_db, 0, n)
+        errors = _range_errors(config, scheme, snr_db, 0, n, channels)
     else:
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b))
+            # Each chunk gets only its own channels, if the caller drew them.
+            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b),
+                                  *(() if channels is None else (channels[a:b],)))
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
@@ -281,13 +332,18 @@ def __getattr__(name: str):
 
 
 def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
-    """run_point over the full SNR x scheme grid, ordered by (snr, label)."""
+    """run_point over the full SNR x scheme grid, ordered by (snr, label).
+
+    Each SNR's channels are drawn once, and every scheme's cell reuses them.
+    """
     from . import __version__
 
     records = []
     for snr_db in config.snr_db:
+        channels = draw_channels(config, snr_db)
         for scheme in sorted(config.schemes, key=lambda s: s.label):
-            records.append(run_point(config, scheme, snr_db, workers=workers))
+            records.append(run_point(config, scheme, snr_db, workers=workers,
+                                     channels=channels))
     return BerTable(records=tuple(records), config=config, version=__version__)
 
 

@@ -22,12 +22,18 @@ def qpsk_modulate(bits) -> np.ndarray:
     Pair (b0, b1) -> ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2); b0 is the in-phase
     bit, so (0,0) lands on (+1+1j)/sqrt(2). Bits are bool or integer 0/1:
     each picks its part of a symbol from a 2-entry table, so the complex128
-    (re, im, re, ...) of the symbols sits in the bits' order. A float block
-    raises TypeError.
+    (re, im, re, ...) of the symbols sits in the bits' order. A non-bool
+    block holding any value but 0 and 1 raises ValueError naming the first
+    such value, which the table would otherwise wrap around or miss; a float
+    block of 0s and 1s raises TypeError.
     """
     b = np.asarray(bits)
     if b.ndim < 1 or b.shape[-1] % 2 != 0:
         raise ShapeError(f"bit block must have an even-length last axis, got shape {b.shape}")
+    if b.dtype != bool:
+        outside = (b != 0) & (b != 1)
+        if outside.any():
+            raise ValueError(f"bits must be 0 or 1, got {b[outside][0]}")
     return _LEVELS.take(b).view(np.complex128)
 
 

@@ -1,12 +1,15 @@
 """Behaviour-preservation gate: the output files of pinned sweeps, byte for byte.
 
 A refactor that keeps the random-stream layout and the arithmetic must leave
-every hash below unchanged, at any worker count. At harness's default
-BLOCK_ENTRIES (see harness._range_errors), the 20-realization sweep puts
-its realizations in one block, each frame after the first read from its
-offset in every stream; the 600x1x1 sweep spans blocks of 128 realizations
-and a partial last block, each realization reading all its words in one
-call; and the 3x7x700 sweep puts its 3 realizations in one block.
+every hash below unchanged, at any worker count. A sweep draws each SNR's
+channels once with harness.draw_channels and holds them while that SNR's
+cells run, at 16 * users * tx antennas bytes per realization; a lone
+run_point would draw each block's channels inside the block. Every frame,
+the first included, is read at its offset in its stream. At harness's
+default BLOCK_ENTRIES (see harness._range_errors), the 20-realization sweep
+puts its realizations in one block; the 600x1x1 sweep draws its channels,
+and runs its cells, in blocks of 128 realizations and a partial last block;
+and the 3x7x700 sweep puts its 3 realizations in one block.
 
 Each run_log.jsonl line holds the config digest and the stream layout
 (randomness.STREAM_LAYOUT), so a new layout changes its hash. Layout 2, the

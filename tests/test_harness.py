@@ -11,15 +11,17 @@ from ulpsim.errors import ConfigurationError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
     SimulationConfig,
+    _block_channels,
     _range_errors,
     ber_gap,
+    draw_channels,
     run_point,
     run_sweep,
     snr_db_to_noise_variance,
 )
 from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import SchemeMode
-from ulpsim.randomness import derived_stream, snr_key
+from ulpsim.randomness import derived_stream, snr_key, stream_key
 
 TINY = SimulationConfig(realizations=6, frames=2, symbols_per_frame=10, seed=99)
 
@@ -181,8 +183,8 @@ class TestRunPoint:
     # 14 realizations of 3 frames of 800 symbols, with 160 pool entries each,
     # so the frames bind. With BLOCK_ENTRIES 1 and 500, below a frame, and
     # 900, blocks hold 1 realization; 2048 gives blocks of 2, 8192 blocks of
-    # 10 and 4, and 20480, the default, one block of all 14. Every frame
-    # after the first is read at its stream offset.
+    # 10 and 4, and 20480, the default, one block of all 14. Every frame,
+    # the first included, is read at its stream offset.
     @pytest.mark.parametrize("block_entries", [1, 500, 900, 2048, 8192, 20480])
     def test_split_frames_of_many_realizations_match_reference(self, monkeypatch,
                                                                block_entries):
@@ -321,9 +323,9 @@ class TestRangeErrorsMatchReference:
         assert errors > 0
 
     # 3 tx antennas and 5 pool users: 30 pool words, then frames of 3159
-    # words, so frames 1 to 4 start at words 3189, 6348, 9507 and 12666,
-    # which are 1, 0, 3 and 2 past a multiple of 4. Every frame after the
-    # first is read at its own offset. The 1053-symbol frames bind: with
+    # words, so frames 0 to 4 start at words 30, 3189, 6348, 9507 and 12666,
+    # which are 2, 1, 0, 3 and 2 past a multiple of 4. Every frame, the first
+    # included, is read at its own offset. The 1053-symbol frames bind: with
     # BLOCK_ENTRIES 1 and 2048 blocks hold 1 realization, with 3159 they hold
     # 3 and a partial 1, and with 10**6 all 4 share one block.
     @pytest.mark.parametrize("block_entries", [1, 2048, 3159, 10**6])
@@ -379,6 +381,69 @@ class TestRangeErrorsMatchReference:
             assert errors == reference_errors(config, scheme, 0.0, start, stop) > 0, start
 
 
+def reference_channels(config, snr_db, start, stop):
+    """Channel r of [start, stop) through derived_stream and the public channel layer."""
+    return np.array([
+        select_users(draw_user_pool(derived_stream(config.seed, snr_key(snr_db), r),
+                                    config.pool_users, config.tx_antennas), config.active_users)
+        for r in range(start, stop)])
+
+
+# 3 tx antennas and 5 pool users make 30 pool words, so frame 0 starts 2
+# words past a multiple of 4.
+ODD_POOL = SimulationConfig(tx_antennas=3, active_users=3, pool_users=5, realizations=7,
+                            frames=3, symbols_per_frame=13, seed=11)
+
+
+class TestDrawChannels:
+    # The paper's 20 x 8 pools make blocks of 128 realizations, so 300 end
+    # in a partial block of 44; ODD_POOL's 7 fit one block.
+    @pytest.mark.parametrize("config,snr_db", [
+        (SimulationConfig(realizations=300, frames=1, symbols_per_frame=1, seed=21), 14.0),
+        (ODD_POOL, 0.0),
+    ], ids=["paper_partial_block", "odd_pool"])
+    def test_equals_reference(self, config, snr_db):
+        channels = draw_channels(config, snr_db)
+        assert channels.shape == (config.realizations, config.active_users, config.tx_antennas)
+        expected = reference_channels(config, snr_db, 0, config.realizations)
+        assert channels.tobytes() == expected.tobytes()
+        assert not channels.flags.writeable
+
+    def test_indices_past_53_bits(self):
+        # Across 2**53 + 1, the first index a float64 cannot hold, and up to
+        # the last index, 2**64 - 1.
+        config = SimulationConfig(seed=2**64 - 1)
+        key = stream_key(config.seed, snr_key(20.0))
+        for start, stop in ((2**53 - 1, 2**53 + 2), (2**64 - 3, 2**64)):
+            got = _block_channels(config, np.random.Philox(0), key, start, stop)
+            assert got.tobytes() == reference_channels(config, 20.0, start, stop).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config,label,snr_db", [
+        (TINY, "LMMSEP", 8.0),
+        (ODD_POOL, "ULMMSEP", 0.0),
+        (SimulationConfig(realizations=300, frames=1, symbols_per_frame=1, seed=21), "LZFP",
+         0.0),
+    ], ids=["tiny", "odd_pool", "paper_partial_block"])
+    def test_shared_channels_give_the_lone_count(self, workers, config, label, snr_db):
+        scheme = SchemeMode.from_label(label)
+        lone = run_point(config, scheme, snr_db, workers=workers)
+        shared = run_point(config, scheme, snr_db, workers=workers,
+                           channels=draw_channels(config, snr_db))
+        assert shared == lone
+        assert lone.bit_errors == reference_errors(config, scheme, snr_db, 0,
+                                                   config.realizations) > 0
+
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (7, 8, 8), (6, 8, 7), (6, 64), (8, 8)])
+    def test_wrong_shape_rejected(self, shape):
+        channels = np.zeros(shape, dtype=np.complex128)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"channels must have shape (6, 8, 8) "
+                                           f"(realizations, active_users, tx_antennas), "
+                                           f"got {shape}")):
+            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, channels=channels)
+
+
 class TestRunSweep:
     def test_cardinality_and_ordering(self):
         cfg = SimulationConfig(realizations=2, frames=1, symbols_per_frame=4)
@@ -429,6 +494,55 @@ class TestRunSweep:
         table = run_sweep(cfg)
         assert len(calls) == len(cfg.snr_db) * len(cfg.schemes) == len(table.records)
         assert len(set(calls)) == len(calls)
+
+
+    def test_sweep_draws_channels_once_per_snr(self, monkeypatch):
+        calls = []
+        original = harness.draw_channels
+
+        def counted(config, snr_db):
+            calls.append(snr_db)
+            return original(config, snr_db)
+
+        monkeypatch.setattr(harness, "draw_channels", counted)
+        cfg = SimulationConfig(realizations=2, frames=1, symbols_per_frame=4,
+                               snr_db=(10.0, 20.0, 30.0))
+        run_sweep(cfg)
+        assert calls == [10.0, 20.0, 30.0]
+
+    def test_schemes_share_each_snr_channels(self, monkeypatch):
+        """The common random numbers the harness promises: every scheme at one
+        SNR builds its precoder for the same channels, and the SNRs differ."""
+        seen = []
+        original = harness.precoder.build
+
+        def recorded(h, mode, sigma2, normalize_data_block_only):
+            seen.append((mode.label, h.tobytes()))
+            return original(h, mode, sigma2, normalize_data_block_only)
+
+        monkeypatch.setattr(harness.precoder, "build", recorded)
+        cfg = replace(TINY, snr_db=(10.0, 20.0))
+        run_sweep(cfg)
+        assert len(seen) == 8
+        for cells in (seen[:4], seen[4:]):
+            assert sorted(label for label, _ in cells) == sorted(precoder.LABELS)
+            assert len({h for _, h in cells}) == 1
+        assert seen[0][1] != seen[4][1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singular_channel_names_its_realization(self, monkeypatch, workers):
+        # With 2 workers, realization 4 is the second of the chunk [3, 6).
+        original = harness.draw_channels
+
+        def fourth_zeroed(config, snr_db):
+            channels = original(config, snr_db).copy()
+            channels[4] = 0.0
+            return channels
+
+        monkeypatch.setattr(harness, "draw_channels", fourth_zeroed)
+        cfg = replace(TINY, schemes=(SchemeMode.from_label("LZFP"),), snr_db=(8.0,))
+        with pytest.raises(SingularMatrixError, match=r"realization 4 \(scheme LZFP, 8.0 dB\)"):
+            run_sweep(cfg, workers=workers)
 
 
 class TestBerGap:

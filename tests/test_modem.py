@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestQpskMapping:
     def test_float_bits_rejected(self):
         with pytest.raises(TypeError):
             qpsk_modulate(np.array([0.0, 1.0]))
+
+    # Without the check, take wraps -1 and -2 round to the table's entries
+    # for 1 and 0, and 2 raises a bare IndexError.
+    @pytest.mark.parametrize("bits,first", [
+        ([-1, -2], "-1"), ([2, 0], "2"), ([0, 1, 1, 3, 5, 0], "3"), ([[0, 1], [1, -7]], "-7"),
+        (np.array([0, 255], dtype=np.uint8), "255"), ([0.5, 1.0], "0.5"),
+    ])
+    def test_bits_outside_zero_and_one_rejected(self, bits, first):
+        with pytest.raises(ValueError, match=f"^bits must be 0 or 1, got {re.escape(first)}$"):
+            qpsk_modulate(bits)
 
     def test_every_pair_is_its_literal_symbol(self):
         bits = np.array([0, 0, 1, 0, 0, 1, 1, 1])
