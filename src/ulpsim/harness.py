@@ -9,10 +9,10 @@ bits and noise at its own offset; see _range_errors), the same words
 derived_stream would draw.
 The scheme is deliberately left out of the key: all schemes at one SNR see
 identical channels, bits, and noise (common random numbers), so pairwise
-BER gaps are paired comparisons and reduction gaps are exactly zero. A
-sweep draws each SNR's channels once with draw_channels and holds them,
-16 * active_users * tx_antennas bytes per realization, while that SNR's
-cells run; a lone run_point draws each block's channels inside the block.
+BER gaps are paired comparisons and reduction gaps are exactly zero. Every
+cell runs on the channels draw_channels drew, held at 16 * active_users *
+tx_antennas bytes per realization: a sweep draws them once per SNR for all
+its schemes, a lone run_point once for its cell.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from .randomness import (STREAM_LAYOUT, box_muller, snr_key, start_stream, strea
                          uniforms, word_bits)
 
 LOW_CONFIDENCE_ERRORS = 10
-# Entry budget of a block of the realization engine (see _range_errors): its
-# stacked pools (realizations x pool users x tx antennas), and one frame of
-# each realization (realizations x users x symbols), fit in this many
-# entries. Large enough that the per-call overhead of each numpy stage is
-# shared by many realizations, small enough that the arrays stay in cache and
-# a block's memory does not grow with its range. draw_channels draws a sweep's
-# channels a pool block at a time too; only the channels it keeps, 16 * users
-# * tx antennas bytes per realization, grow with the realizations.
+# Entry budget of a block of realizations: their stacked pools (realizations
+# x pool users x tx antennas), and one frame of each (realizations x users x
+# symbols), fit in this many entries. Large enough that the per-call overhead
+# of each numpy stage is shared by many realizations, small enough that the
+# arrays stay in cache and a block's memory does not grow with its range.
+# draw_channels and _range_errors both walk their realizations in such
+# blocks; only the channels draw_channels keeps, 16 * users * tx antennas
+# bytes per realization, grow with the realizations.
 BLOCK_ENTRIES = 20480
 
 
@@ -204,7 +204,10 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
     philox = np.random.Philox(0)
     n = config.realizations
     per_block = max(1, BLOCK_ENTRIES // (config.pool_users * config.tx_antennas))
-    channels = np.empty((n, config.active_users, config.tx_antennas), dtype=np.complex128)
+    try:
+        channels = np.empty((n, config.active_users, config.tx_antennas), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy indexes
+        raise MemoryError(f"the channels of {n} realizations do not fit: {exc}") from None
     for first in range(0, n, per_block):
         stop = min(first + per_block, n)
         channels[first:stop] = _block_channels(config, philox, key, first, stop)
@@ -213,16 +216,15 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
 
 
 def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
-                  snr_db: float, start: int, stop: int, channels: np.ndarray | None = None) -> int:
-    """Bit errors of realizations [start, stop), evaluated a block at a time.
+                  snr_db: float, start: int, channels: np.ndarray) -> int:
+    """Bit errors of realizations [start, start + len(channels)), a block at a time.
 
-    channels, if given, holds the channels of [start, stop), a slice of
-    draw_channels; otherwise each block draws its own. A block holds as many
-    realizations as fit their pools, and one frame of each, in BLOCK_ENTRIES
-    entries (at least one): at the paper's 20 x 8 pool and 8 users, 25
-    realizations of 100-symbol frames, or 128 of 1-symbol frames. The
-    precoder build runs once per block on the stacked channels, and the frame
-    stage then walks the block's realizations a frame at a time.
+    channels holds their channels, a slice of draw_channels. A block holds as
+    many realizations as fit their pools, and one frame of each, in
+    BLOCK_ENTRIES entries (at least one): at the paper's 20 x 8 pool and 8
+    users, 25 realizations of 100-symbol frames, or 128 of 1-symbol frames.
+    The precoder build runs once per block on the stacked channels, and the
+    frame stage then walks the block's realizations a frame at a time.
 
     Frame stage: per frame, modem.qpsk_modulate maps the sent bits in the
     bit words' order, one batched matmul by H F_data takes them to
@@ -232,13 +234,12 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
 
     Draw phase: the Philox key of (seed, SNR) is derived once per call, and
     realization r reads stream r of that key (r in the counter) as raw
-    64-bit words in a fixed layout: the pool's u1 and u2 (n_pool * n_tx
-    words each), then per frame k * n_sym bit words, k * n_sym noise u1 and
-    k * n_sym noise u2. Every frame, the first included, is read from the
-    stream word where it starts, 2 * n_pool * n_tx + 3 * frame * k * n_sym.
-    This is the order in which derived_stream's generator draws them
+    64-bit words. Past its pool's 2 * n_pool * n_tx words, which
+    draw_channels read, frame f's k * n_sym bit words, k * n_sym noise u1
+    and k * n_sym noise u2 start at word 2 * n_pool * n_tx + 3 * f * k *
+    n_sym: the order in which derived_stream's generator draws them
     (draw_user_pool, then per frame integers(0, 2) and draw_awgn), so counts
-    do not depend on the blocking or on where the channels were drawn.
+    do not depend on the blocking or on how the realizations are split.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
@@ -246,15 +247,12 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, per_frame))
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     philox = np.random.Philox(0)
-    block_words = np.empty((min(per_block, stop - start), 3 * per_frame), dtype=np.uint64)
+    block_words = np.empty((min(per_block, len(channels)), 3 * per_frame), dtype=np.uint64)
     key = stream_key(config.seed, snr_key(snr_db))
     errors = 0
-    for first in range(start, stop, per_block):
-        n_real = min(per_block, stop - first)
-        if channels is None:
-            h = _block_channels(config, philox, key, first, first + n_real)
-        else:
-            h = channels[first - start:first - start + n_real]
+    for first in range(start, start + len(channels), per_block):
+        h = channels[first - start:first - start + per_block]
+        n_real = len(h)
         try:
             prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
         except SingularMatrixError as exc:
@@ -286,30 +284,30 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
               workers: int = 1, *, channels: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
 
-    channels, if given, are draw_channels(config, snr_db), which a sweep
-    draws once per SNR for all its schemes; otherwise the cell draws them.
+    channels are draw_channels(config, snr_db): a sweep draws them once per
+    SNR for all its schemes, and a lone cell draws them here, once.
     """
     _snr_stream_key(snr_db, config.snr_offset_db)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
     shape = (n, config.active_users, config.tx_antennas)
-    if channels is not None and np.shape(channels) != shape:
+    if channels is None:
+        channels = draw_channels(config, snr_db)
+    elif np.shape(channels) != shape:
         raise ConfigurationError(f"channels must have shape {shape} (realizations, "
                                  f"active_users, tx_antennas), got {np.shape(channels)}")
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
-        errors = _range_errors(config, scheme, snr_db, 0, n, channels)
+        errors = _range_errors(config, scheme, snr_db, 0, channels)
     else:
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            # Each chunk gets only its own channels, if the caller drew them.
-            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), int(b),
-                                  *(() if channels is None else (channels[a:b],)))
+            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), channels[a:b])
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(

@@ -358,6 +358,26 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "out of memory: Unable to allocate 175. TiB for an array\n"
 
+    # The channels of 1e16 realizations pass numpy's largest array size in
+    # bytes, and those of 1e20 its largest dimension; both commands draw
+    # their channels before they run a block.
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--realizations", "10000000000000000"],
+        ["point", "--scheme", "LZFP", "--point-snr", "20",
+         "--realizations", "100000000000000000000"],
+    ], ids=["sweep_1e16", "point_1e20"])
+    def test_huge_realizations_exit_1_with_one_line(self, argv, tmp_path):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = ["--out", str(tmp_path)] if argv[0] == "sweep" else []
+        done = subprocess.run([sys.executable, "-m", "ulpsim", *argv, *out], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"out of memory: the channels of {argv[-1]} realizations ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_io_error_exit_code(self, monkeypatch, tmp_path):
         # An --out that cannot be made fails before the sweep runs.
         monkeypatch.setattr(cli, "run_sweep", lambda config, workers=1: pytest.fail("ran"))

@@ -1,11 +1,11 @@
 """Behaviour-preservation gate: the output files of pinned sweeps, byte for byte.
 
 A refactor that keeps the random-stream layout and the arithmetic must leave
-every hash below unchanged, at any worker count. A sweep draws each SNR's
-channels once with harness.draw_channels and holds them while that SNR's
-cells run, at 16 * users * tx antennas bytes per realization; a lone
-run_point would draw each block's channels inside the block. Every frame,
-the first included, is read at its offset in its stream. At harness's
+every hash below unchanged, at any worker count. Every cell runs on the
+channels harness.draw_channels drew: a sweep draws each SNR's channels once
+and holds them while that SNR's cells run, at 16 * users * tx antennas
+bytes per realization, and a lone run_point draws its cell's channels the
+same way. Every frame is read at its offset in its stream. At harness's
 default BLOCK_ENTRIES (see harness._range_errors), the 20-realization sweep
 puts its realizations in one block; the 600x1x1 sweep draws its channels,
 and runs its cells, in blocks of 128 realizations and a partial last block;

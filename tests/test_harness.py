@@ -26,6 +26,23 @@ from ulpsim.randomness import derived_stream, snr_key, stream_key
 TINY = SimulationConfig(realizations=6, frames=2, symbols_per_frame=10, seed=99)
 
 
+def channels_of(config, snr_db, start, stop):
+    """Channels of realizations [start, stop), as the engine is given them.
+
+    A slice of draw_channels; past the config's realizations (the indices
+    near 2**64), one _block_channels block, which draw_channels is made of.
+    """
+    if stop <= config.realizations:
+        return draw_channels(config, snr_db)[start:stop]
+    key = stream_key(config.seed, snr_key(snr_db))
+    return _block_channels(config, np.random.Philox(0), key, start, stop)
+
+
+def range_errors(config, scheme, snr_db, start, stop):
+    """_range_errors of realizations [start, stop) on their channels."""
+    return _range_errors(config, scheme, snr_db, start, channels_of(config, snr_db, start, stop))
+
+
 class TestSnrMapping:
     def test_zero_db(self):
         assert snr_db_to_noise_variance(0.0) == pytest.approx(1.0)
@@ -131,7 +148,7 @@ class TestRunPoint:
                 return False
 
             def submit(self, fn, *args):
-                submitted.append(args[-2:])
+                submitted.append((args[-2], len(args[-1])))
                 done = concurrent.futures.Future()
                 done.set_result(fn(*args))
                 return done
@@ -146,7 +163,23 @@ class TestRunPoint:
             assert run_point(TINY, scheme, 10.0, workers=10**6) == serial
             # One chunk per realization, in a pool no larger than the CPUs.
             assert sizes == [min(TINY.realizations, cpus or 1)]
-            assert submitted == [(r, r + 1) for r in range(TINY.realizations)]
+            assert submitted == [(r, 1) for r in range(TINY.realizations)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lone_cell_draws_its_channels_once(self, monkeypatch, workers):
+        # Once, in the calling process; each chunk gets its slice.
+        calls = []
+        original = harness.draw_channels
+
+        def counted(config, snr_db):
+            calls.append(snr_db)
+            return original(config, snr_db)
+
+        monkeypatch.setattr(harness, "draw_channels", counted)
+        scheme = SchemeMode.from_label("LMMSEP")
+        record = run_point(TINY, scheme, 8.0, workers=workers)
+        assert calls == [8.0]
+        assert record.bit_errors == reference_errors(TINY, scheme, 8.0, 0, TINY.realizations)
 
     def test_noiseless_zero_forcing_is_error_free(self):
         # SNR large enough that 10^(-snr/10) underflows to exactly 0.
@@ -173,11 +206,11 @@ class TestRunPoint:
     @pytest.mark.parametrize("block_entries", [1, 160, 400, 800, 2048, 8192, 10**6])
     def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
         scheme = SchemeMode.from_label(label)
-        whole = _range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
+        whole = range_errors(TINY, scheme, 8.0, 0, TINY.realizations)
         monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
         parts = [(0, 1), (1, 5), (5, 6)]
-        assert sum(_range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
-        assert _range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
+        assert sum(range_errors(TINY, scheme, 8.0, a, b) for a, b in parts) == whole
+        assert range_errors(TINY, scheme, 8.0, 0, TINY.realizations) == whole
         assert 0 < whole <= TINY.bits_per_point
 
     # 14 realizations of 3 frames of 800 symbols, with 160 pool entries each,
@@ -192,23 +225,25 @@ class TestRunPoint:
         scheme = SchemeMode.from_label("LMMSEP")
         expected = reference_errors(config, scheme, 4.0, 0, 14)
         monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
-        assert _range_errors(config, scheme, 4.0, 0, 14) == expected > 0
+        assert range_errors(config, scheme, 4.0, 0, 14) == expected > 0
         parts = [(0, 3), (3, 13), (13, 14)]
-        assert sum(_range_errors(config, scheme, 4.0, a, b) for a, b in parts) == expected
+        assert sum(range_errors(config, scheme, 4.0, a, b) for a, b in parts) == expected
 
     # One tx antenna serving 1 of 1 users: a block's 20480 entries hold the
     # pools of all 16 realizations but only one 20000-symbol frame, so the
     # range is taken a realization at a time and needs no more memory than
-    # one of them.
+    # one of them. The channels are drawn before tracing starts, so the peak
+    # is the engine's working memory alone.
     def test_long_frames_of_a_small_pool_take_one_realization_at_a_time(self):
         config = SimulationConfig(tx_antennas=1, pool_users=1, active_users=1,
                                   realizations=16, frames=2, symbols_per_frame=20000, seed=3)
         scheme = SchemeMode.from_label("LZFP")
 
         def peak_bytes(stop):
+            channels = channels_of(config, 10.0, 0, stop)
             tracemalloc.start()
             try:
-                _range_errors(config, scheme, 10.0, 0, stop)
+                _range_errors(config, scheme, 10.0, 0, channels)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -217,32 +252,29 @@ class TestRunPoint:
 
     # 1-frame, 1-symbol realizations of the paper's 20 x 8 pool: a block
     # holds the 128 whose pools fit BLOCK_ENTRIES, so a range of 2000 is 16
-    # such blocks and needs no more memory than one of them.
+    # such blocks and needs no more memory than one of them. The channels
+    # are drawn before tracing starts (see TestDrawChannels for their draw).
     def test_many_short_realizations_take_one_pool_block_at_a_time(self):
         config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=1, seed=8)
         scheme = SchemeMode.from_label("ULMMSEP")
 
         def peak_bytes(stop):
+            channels = channels_of(config, 10.0, 0, stop)
             tracemalloc.start()
             try:
-                _range_errors(config, scheme, 10.0, 0, stop)
+                _range_errors(config, scheme, 10.0, 0, channels)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert peak_bytes(2000) < 2 * peak_bytes(harness.BLOCK_ENTRIES // 160)
 
-    def test_singular_build_names_its_realization(self, monkeypatch):
-        select = harness.chan.select_users
-
-        def zero_third_channel(pool, n_active):
-            channel = select(pool, n_active)
-            channel[2] = 0.0
-            return channel
-
-        monkeypatch.setattr(harness.chan, "select_users", zero_third_channel)
+    def test_singular_build_names_its_realization(self):
+        # The third channel of the range [1, 6) is realization 3's.
+        channels = channels_of(TINY, 8.0, 1, 6).copy()
+        channels[2] = 0.0
         with pytest.raises(SingularMatrixError, match="realization 3 "):
-            _range_errors(TINY, SchemeMode.from_label("LZFP"), 8.0, 1, 6)
+            _range_errors(TINY, SchemeMode.from_label("LZFP"), 8.0, 1, channels)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -280,7 +312,7 @@ class TestRunPoint:
 
 
 def reference_errors(config, scheme, snr_db, start, stop):
-    """_range_errors one realization at a time, through derived_stream and the public layers."""
+    """range_errors one realization at a time, through derived_stream and the public layers."""
     k, n_sym = config.active_users, config.symbols_per_frame
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     errors = 0
@@ -318,7 +350,7 @@ class TestRangeErrorsMatchReference:
                                   symbols_per_frame=symbols, seed=seed, snr_offset_db=offset,
                                   normalize_data_block_only=data_block_only)
         scheme = SchemeMode.from_label(label)
-        errors = _range_errors(config, scheme, snr_db, 0, realizations)
+        errors = range_errors(config, scheme, snr_db, 0, realizations)
         assert errors == reference_errors(config, scheme, snr_db, 0, realizations)
         assert errors > 0
 
@@ -334,7 +366,7 @@ class TestRangeErrorsMatchReference:
                                   realizations=4, frames=5, symbols_per_frame=351, seed=11)
         scheme = SchemeMode.from_label("ULMMSEP")
         monkeypatch.setattr(harness, "BLOCK_ENTRIES", block_entries)
-        errors = _range_errors(config, scheme, 0.0, 0, 4)
+        errors = range_errors(config, scheme, 0.0, 0, 4)
         assert errors == reference_errors(config, scheme, 0.0, 0, 4) > 0
 
     # 300x1x1 at the default BLOCK_ENTRIES: the 20 x 8 pools bind, at 128
@@ -346,9 +378,9 @@ class TestRangeErrorsMatchReference:
         config = SimulationConfig(realizations=300, frames=1, symbols_per_frame=1, seed=21)
         scheme = SchemeMode.from_label("LMMSEP")
         expected = reference_errors(config, scheme, 0.0, 0, 300)
-        assert _range_errors(config, scheme, 0.0, 0, 300) == expected > 0
+        assert range_errors(config, scheme, 0.0, 0, 300) == expected > 0
         parts = [(0, 7), (7, 251), (251, 300)]
-        assert sum(_range_errors(config, scheme, 0.0, a, b) for a, b in parts) == expected
+        assert sum(range_errors(config, scheme, 0.0, a, b) for a, b in parts) == expected
 
     def test_exact_zero_decides_bit_zero(self, monkeypatch):
         # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent
@@ -369,7 +401,7 @@ class TestRangeErrorsMatchReference:
                 ones += int(rng.integers(0, 2, 2 * k * n_sym).sum())
                 draw_awgn(rng, (k, n_sym), 1.0)
         scheme = SchemeMode.from_label("LZFP")
-        assert _range_errors(config, scheme, 4000.0, 0, config.realizations) == ones > 0
+        assert range_errors(config, scheme, 4000.0, 0, config.realizations) == ones > 0
 
     def test_indices_past_32_bits(self):
         # A range across 2**53 + 1, the first index a float64 cannot hold,
@@ -377,7 +409,7 @@ class TestRangeErrorsMatchReference:
         config = SimulationConfig(frames=2, symbols_per_frame=50, seed=2**64 - 1)
         scheme = SchemeMode.from_label("ULZFP")
         for start, stop in ((2**53 - 1, 2**53 + 2), (2**64 - 3, 2**64)):
-            errors = _range_errors(config, scheme, 0.0, start, stop)
+            errors = range_errors(config, scheme, 0.0, start, stop)
             assert errors == reference_errors(config, scheme, 0.0, start, stop) > 0, start
 
 
@@ -433,6 +465,23 @@ class TestDrawChannels:
         assert shared == lone
         assert lone.bit_errors == reference_errors(config, scheme, snr_db, 0,
                                                    config.realizations) > 0
+
+    # 2000 realizations of the paper's 20 x 8 pool are drawn in blocks of
+    # 128, so beyond the channels it returns, the draw needs no more memory
+    # than one such block.
+    def test_working_memory_is_one_pool_block(self):
+        def working_bytes(realizations):
+            config = SimulationConfig(realizations=realizations, frames=1,
+                                      symbols_per_frame=1, seed=8)
+            tracemalloc.start()
+            try:
+                channels = draw_channels(config, 10.0)
+                return tracemalloc.get_traced_memory()[1] - channels.nbytes
+            finally:
+                tracemalloc.stop()
+
+        working_bytes(1)  # the first draw in a process also fills one-time caches
+        assert working_bytes(2000) < 2 * working_bytes(harness.BLOCK_ENTRIES // 160)
 
     @pytest.mark.parametrize("shape", [(5, 8, 8), (7, 8, 8), (6, 8, 7), (6, 64), (8, 8)])
     def test_wrong_shape_rejected(self, shape):
@@ -529,9 +578,11 @@ class TestRunSweep:
             assert len({h for _, h in cells}) == 1
         assert seen[0][1] != seen[4][1]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_singular_channel_names_its_realization(self, monkeypatch, workers):
-        # With 2 workers, realization 4 is the second of the chunk [3, 6).
+    @pytest.mark.parametrize("workers,lone", [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["1", "2", "lone-1", "lone-2"])
+    def test_singular_channel_names_its_realization(self, monkeypatch, workers, lone):
+        # With 2 workers, realization 4 is the second of the chunk [3, 6). A
+        # lone run_point draws its channels through the same draw_channels.
         original = harness.draw_channels
 
         def fourth_zeroed(config, snr_db):
@@ -542,7 +593,10 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "draw_channels", fourth_zeroed)
         cfg = replace(TINY, schemes=(SchemeMode.from_label("LZFP"),), snr_db=(8.0,))
         with pytest.raises(SingularMatrixError, match=r"realization 4 \(scheme LZFP, 8.0 dB\)"):
-            run_sweep(cfg, workers=workers)
+            if lone:
+                run_point(cfg, cfg.schemes[0], 8.0, workers=workers)
+            else:
+                run_sweep(cfg, workers=workers)
 
 
 class TestBerGap:
