@@ -8,6 +8,7 @@ comments; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -181,7 +182,7 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     """Reconstruct records from a result CSV; exact, via the integer counts.
 
     The file must be UTF-8 (BOM allowed) with a header naming the record columns.
-    A (scheme, SNR) pair may appear once: a repeat would make its gap ambiguous.
+    A column or a (scheme, SNR) pair may appear once: a repeat would be ambiguous.
     Each row must have the header's number of fields and make a valid
     BerRecord; a row that does not, or cannot be parsed, is named by file and
     line.
@@ -195,6 +196,9 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
             if missing:
                 raise ConfigurationError(
                     f"{path}:1: missing column {', '.join(map(repr, missing))}")
+            repeated = [c for i, c in enumerate(header) if c in header[:i]]
+            if repeated:
+                raise ConfigurationError(f"{path}:1: repeated column {repeated[0]!r}")
             for fields in filter(None, reader):  # blank lines hold no row
                 try:
                     if len(fields) != len(header):
@@ -231,11 +235,18 @@ def _config_from_args(args) -> SimulationConfig:
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table = run_sweep(config, workers=args.workers)
-    emit_table(table, out / "results.csv", out / "gaps.csv")
-    emit_plot_data(table, out / "plot.csv")
-    emit_run_log(table, out / "run_log.jsonl")
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
+    try:
+        table = run_sweep(config, workers=args.workers)
+        emit_table(table, out / "results.csv", out / "gaps.csv")
+        emit_plot_data(table, out / "plot.csv")
+        emit_run_log(table, out / "run_log.jsonl")
+    except BaseException:  # a failed sweep removes the directories it made while empty
+        with contextlib.suppress(OSError):
+            for d in made:
+                d.rmdir()
+        raise
     print(f"wrote {len(table.records)} records to {out / 'results.csv'}")
     return 0
 

@@ -1,18 +1,13 @@
 """Deterministic Monte Carlo BER sweeps over SNR x scheme.
 
-Each channel realization gets its own counter-based random stream: the
-Philox key comes from (master seed, SNR) and the realization index goes in
-the counter, so error counts are a pure function of the configuration: any
-worker count, any scheduling order, same table. The stream is read as raw
-Philox words in a fixed per-realization layout (the pool, then each frame's
-bits and noise at its own offset; see _range_errors), the same words
-derived_stream would draw.
-The scheme is deliberately left out of the key: all schemes at one SNR see
-identical channels, bits, and noise (common random numbers), so pairwise
-BER gaps are paired comparisons and reduction gaps are exactly zero. Every
-cell runs on the channels draw_channels drew, held at 16 * active_users *
-tx_antennas bytes per realization: a sweep draws them once per SNR for all
-its schemes, a lone run_point once for its cell.
+Realization r of an SNR reads stream r of the (seed, SNR) key in the layout
+randomness describes, so counts are a pure function of the configuration,
+whatever the worker count, blocking or scheduling order. The scheme is left
+out of the key: all schemes at one SNR see identical channels, bits, and
+noise (common random numbers), so pairwise BER gaps are paired comparisons
+and reduction gaps are exactly zero. Every cell runs on the channels
+draw_channels drew, held at 16 * active_users * tx_antennas bytes per
+realization: a sweep draws them once per SNR, a lone run_point per cell.
 """
 
 from __future__ import annotations
@@ -28,8 +23,8 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import (STREAM_LAYOUT, box_muller, snr_key, start_stream, stream_key,
-                         uniforms, word_bits)
+from .randomness import (STREAM_LAYOUT, draw_frame, draw_pools, frame_buffer, snr_key,
+                         stream_key)
 
 LOW_CONFIDENCE_ERRORS = 10
 # Entry budget of a block of realizations: their stacked pools (realizations
@@ -37,9 +32,6 @@ LOW_CONFIDENCE_ERRORS = 10
 # symbols), fit in this many entries. Large enough that the per-call overhead
 # of each numpy stage is shared by many realizations, small enough that the
 # arrays stay in cache and a block's memory does not grow with its range.
-# draw_channels and _range_errors both walk their realizations in such
-# blocks; only the channels draw_channels keeps, 16 * users * tx antennas
-# bytes per realization, grow with the realizations.
 BLOCK_ENTRIES = 20480
 
 
@@ -175,21 +167,9 @@ def _snr_stream_key(snr_db: float, offset_db: float) -> int:
         f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
-def _block_channels(config: SimulationConfig, philox: np.random.Philox, key: np.ndarray,
-                    start: int, stop: int) -> np.ndarray:
-    """Channels of realizations [start, stop), drawn together in one block.
-
-    Realization r's pool is decoded from the first 2 * n_pool * n_tx words
-    of stream r of key (its u1, then its u2), as draw_user_pool draws it,
-    and select_users keeps its strongest users. philox is reused.
-    """
-    n_pool, n_tx = config.pool_users, config.tx_antennas
-    pool_words = 2 * n_pool * n_tx
-    words = np.empty((stop - start, pool_words), dtype=np.uint64)
-    for i in range(stop - start):
-        words[i] = start_stream(philox, key, start + i).random_raw(pool_words)
-    pool_u = uniforms(words).reshape(stop - start, 2, n_pool, n_tx)
-    return chan.select_users(box_muller(pool_u[:, 0], pool_u[:, 1], 1.0), config.active_users)
+def _stream_key(config: SimulationConfig, snr_db: float) -> np.ndarray:
+    """The Philox key of (seed, SNR), whose stream r realization r reads."""
+    return stream_key(config.seed, _snr_stream_key(snr_db, config.snr_offset_db))
 
 
 def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
@@ -197,20 +177,18 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
 
     Entry r is the channel stream r of the (seed, SNR) key selects, so every
     scheme's run_point at this SNR can share them (channels=). They are drawn
-    a block of pools at a time, as many as fit BLOCK_ENTRIES, and kept at 16 *
-    active_users * tx_antennas bytes per realization.
+    a block of pools at a time, as many as fit BLOCK_ENTRIES.
     """
-    key = stream_key(config.seed, _snr_stream_key(snr_db, config.snr_offset_db))
-    philox = np.random.Philox(0)
-    n = config.realizations
-    per_block = max(1, BLOCK_ENTRIES // (config.pool_users * config.tx_antennas))
+    key, philox = _stream_key(config, snr_db), np.random.Philox(0)
+    n, n_pool, n_tx = config.realizations, config.pool_users, config.tx_antennas
+    per_block = max(1, BLOCK_ENTRIES // (n_pool * n_tx))
     try:
-        channels = np.empty((n, config.active_users, config.tx_antennas), dtype=np.complex128)
+        channels = np.empty((n, config.active_users, n_tx), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy indexes
         raise MemoryError(f"the channels of {n} realizations do not fit: {exc}") from None
     for first in range(0, n, per_block):
-        stop = min(first + per_block, n)
-        channels[first:stop] = _block_channels(config, philox, key, first, stop)
+        pools = draw_pools(philox, key, first, min(first + per_block, n), n_pool, n_tx)
+        channels[first:first + per_block] = chan.select_users(pools, config.active_users)
     channels.flags.writeable = False
     return channels
 
@@ -219,40 +197,24 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
                   snr_db: float, start: int, channels: np.ndarray) -> int:
     """Bit errors of realizations [start, start + len(channels)), a block at a time.
 
-    channels holds their channels, a slice of draw_channels. A block holds as
-    many realizations as fit their pools, and one frame of each, in
-    BLOCK_ENTRIES entries (at least one): at the paper's 20 x 8 pool and 8
-    users, 25 realizations of 100-symbol frames, or 128 of 1-symbol frames.
-    The precoder build runs once per block on the stacked channels, and the
-    frame stage then walks the block's realizations a frame at a time.
-
-    Frame stage: per frame, modem.qpsk_modulate maps the sent bits in the
-    bit words' order, one batched matmul by H F_data takes them to
-    y = H F_data x, the noise is added in place, and modem.qpsk_demodulate
-    decides y. The receiver's division by beta > 0 changes no decision, so
-    it is skipped.
-
-    Draw phase: the Philox key of (seed, SNR) is derived once per call, and
-    realization r reads stream r of that key (r in the counter) as raw
-    64-bit words. Past its pool's 2 * n_pool * n_tx words, which
-    draw_channels read, frame f's k * n_sym bit words, k * n_sym noise u1
-    and k * n_sym noise u2 start at word 2 * n_pool * n_tx + 3 * f * k *
-    n_sym: the order in which derived_stream's generator draws them
-    (draw_user_pool, then per frame integers(0, 2) and draw_awgn), so counts
-    do not depend on the blocking or on how the realizations are split.
+    channels holds their channels, a slice of draw_channels. Blocks are sized
+    by BLOCK_ENTRIES: 25 realizations of the paper's 20 x 8 pools and 100-symbol
+    frames, or 128 of 1-symbol frames. The precoder build runs once per block
+    on the stacked channels. Per frame, draw_frame draws the block's bits and
+    noise, which no scheme changes; the scheme's stage maps the bits, takes
+    them to y = H F_data x in one batched matmul, adds the noise and counts
+    the wrong decisions. The receiver's division by beta > 0 changes no
+    decision, so it is skipped.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
-    per_frame = k * n_sym
-    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, per_frame))
+    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, k * n_sym))
+    key, philox = _stream_key(config, snr_db), np.random.Philox(0)
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
-    philox = np.random.Philox(0)
-    block_words = np.empty((min(per_block, len(channels)), 3 * per_frame), dtype=np.uint64)
-    key = stream_key(config.seed, snr_key(snr_db))
+    block_words = frame_buffer(min(per_block, len(channels)), k, n_sym)
     errors = 0
     for first in range(start, start + len(channels), per_block):
         h = channels[first - start:first - start + per_block]
-        n_real = len(h)
         try:
             prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
         except SingularMatrixError as exc:
@@ -262,21 +224,13 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
             ) from exc
         # beta * effective_gain, transposed to act on rows of symbols.
         gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
-        words = block_words[:n_real]
-        frame_words = words.reshape(n_real, 3, per_frame)
+        words = block_words[:len(h)]
         for frame in range(config.frames):
-            word = 2 * n_pool * n_tx + 3 * frame * per_frame
-            for i in range(n_real):
-                words[i] = start_stream(philox, key, first + i, word).random_raw(3 * per_frame)
-            # A frame's bit words hold its symbols in (symbol, user) order,
-            # each word the (re, im) bits of one symbol: n_sym rows of k users.
-            sent = word_bits(frame_words[:, 0])
-            y = modem.qpsk_modulate(sent).reshape(n_real, n_sym, k) @ gain_t
-            # The noise is drawn as (user, symbol).
-            noise_u = uniforms(frame_words[:, 1:]).reshape(n_real, 2, k, n_sym)
-            y += box_muller(noise_u[:, 0], noise_u[:, 1], n0).swapaxes(-1, -2)
-            errors += int(np.count_nonzero(
-                modem.qpsk_demodulate(y) != sent.reshape(n_real, n_sym, 2 * k)))
+            sent, noise = draw_frame(philox, key, first, frame, n_pool, n_tx, n_sym, n0, words)
+            y = modem.qpsk_modulate(sent) @ gain_t
+            y += noise
+            del noise  # held into the next draw, it nearly tripled the default sweep's page faults
+            errors += int(np.count_nonzero(modem.qpsk_demodulate(y) != sent))
     return errors
 
 

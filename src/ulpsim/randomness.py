@@ -3,17 +3,19 @@
 Philox is keyed and counter-based (Salmon et al., SC'11): a master seed and
 an optional integer key give a Philox key, and a work unit's index goes in
 the counter, so results never depend on worker count or execution order.
-Gaussian variates come from a Box-Muller transform with a fixed consumption
-of two uniforms per complex entry, which keeps stream alignment identical
-across platforms. The transform takes its radius in float64, so the tails
-stay exact, and its phase in float32, whose SIMD `cos`/`sin` cost a
-fraction of the float64 ones; STREAM_LAYOUT versions these choices.
+Gaussian variates come from a Box-Muller transform (box_muller) with a
+fixed consumption of two uniforms per complex entry, which keeps stream
+alignment identical across platforms.
 
-`derived_stream` is the reference form of a stream. The harness reads the
-same streams as raw 64-bit Philox words: `start_stream` points one reused
-Philox at any word of any indexed stream of a `stream_key`, and `uniforms`
-and `word_bits` decode words exactly as `Generator.random` and
-`Generator.integers(0, 2)` would.
+Stream layout 3 (STREAM_LAYOUT): realization r of an SNR reads stream r of
+the (seed, SNR) key in the order derived_stream draws it: draw_user_pool,
+then per frame integers(0, 2) and draw_awgn. Its words are the pool's
+n_pool * n_tx u1, then as many u2; then per frame of k users and n_sym
+symbols, k * n_sym bit words in (symbol, user) order, each the (re, im)
+bits of one symbol, then k * n_sym noise u1 and as many u2, each in (user,
+symbol) order, so frame f starts at word 2 * n_pool * n_tx + 3 * f * k *
+n_sym. `read_words` reads any words of any streams with one reused Philox,
+and `draw_pools` and `draw_frame` decode them as the Generator would.
 """
 
 from __future__ import annotations
@@ -50,12 +52,10 @@ def derived_stream(master_seed: int, key: int | None = None,
 
 def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
                  word: int = 0) -> np.random.Philox:
-    """Point a reused Philox at word `word` of stream `index` of key, a stream_key.
+    """Point a reused Philox at word `word` of stream `index` of key, a stream_key; return it.
 
-    Its words are then those of derived_stream's bit generator from word
-    `word` on: Philox makes 4 words per counter value, so the counter is set
-    to (word // 4, index, 0, 0) and the first word % 4 words are discarded.
-    Returns philox.
+    Philox makes 4 words per counter value, so the counter is set to
+    (word // 4, index, 0, 0) and the first word % 4 words are discarded.
     """
     philox.state = {"bit_generator": "Philox",
                     "state": {"counter": (word // 4, index, 0, 0), "key": key},
@@ -63,6 +63,43 @@ def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
     if word % 4:
         philox.random_raw(word % 4)
     return philox
+
+
+def read_words(philox: np.random.Philox, key: np.ndarray, start: int, word: int,
+               out: np.ndarray) -> np.ndarray:
+    """Words [word, word + w) of streams [start, start + n) of key into out, (n, w) uint64."""
+    for i in range(len(out)):
+        out[i] = start_stream(philox, key, start + i, word).random_raw(out.shape[1])
+    return out
+
+
+def draw_pools(philox: np.random.Philox, key: np.ndarray, start: int, stop: int,
+               n_pool: int, n_tx: int) -> np.ndarray:
+    """The CN(0, 1) (n_pool, n_tx) user pools of streams [start, stop), stacked."""
+    words = np.empty((stop - start, 2 * n_pool * n_tx), dtype=np.uint64)
+    u = uniforms(read_words(philox, key, start, 0, words)).reshape(stop - start, 2, n_pool, n_tx)
+    return box_muller(u[:, 0], u[:, 1], 1.0)
+
+
+def frame_buffer(n: int, k: int, n_sym: int) -> np.ndarray:
+    """A word buffer for draw_frame, reusable for up to n streams."""
+    return np.empty((n, 3 * k * n_sym), dtype=np.uint64)
+
+
+def draw_frame(philox: np.random.Philox, key: np.ndarray, start: int, frame: int,
+               n_pool: int, n_tx: int, n_sym: int, n0: float,
+               words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame `frame`'s sent bits and CN(0, n0) noise in streams [start, start + n).
+
+    words is a frame_buffer of n rows, overwritten. The bits are (n, n_sym,
+    2 * k) bools, a symbol's users in (re, im) pairs; the noise is an (n,
+    n_sym, k) view of its (user, symbol) draw.
+    """
+    n, k = len(words), words.shape[1] // (3 * n_sym)
+    read_words(philox, key, start, 2 * n_pool * n_tx + 3 * frame * k * n_sym, words)
+    sent = word_bits(words[:, :k * n_sym]).reshape(n, n_sym, 2 * k)
+    u = uniforms(words[:, k * n_sym:]).reshape(n, 2, k, n_sym)
+    return sent, box_muller(u[:, 0], u[:, 1], n0).swapaxes(-1, -2)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -95,10 +132,8 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
 
     The radius sqrt(-variance * log1p(-u1)) is float64, so even u1 = 1 - 2**-53
     keeps its exact tail. The phase 2*pi*u2 is taken in float64 and cast to
-    float32, and its float32 cos and sin scale the radius into the real and
-    imaginary parts of one complex128 array. Each entry consumes one u1 and
-    one u2, whatever the precision, so the words every stream reads are as
-    in layout 1; only the values differ, by up to about 3e-7 relative.
+    float32, whose SIMD cos and sin cost a fraction of float64's, and they
+    scale the radius into the real and imaginary parts of one complex128 array.
     """
     if variance == 0.0:
         return np.zeros(u1.shape, dtype=np.complex128)

@@ -319,8 +319,12 @@ class TestMain:
          "{table}:2: row has 3 of the header's 6 fields"),
         (b"snr_db,scheme,u,m,bit_errors,bits_total\n\n14,LZFP,0,0,0,240,7\n",
          "{table}:3: row has 7 of the header's 6 fields"),
+        # Read by name, the last bit_errors would give a gap of 3.00e-1.
+        (b"snr_db,scheme,u,m,bit_errors,bits_total,bit_errors\n"
+         b"14,LZFP,0,0,1,10,5\n14,LMMSEP,0,1,2,10,2\n",
+         "{table}:1: repeated column 'bit_errors'"),
     ], ids=["empty", "foreign_header", "not_utf8", "oversized_header_field",
-            "oversized_row_field", "short_row", "long_row"])
+            "oversized_row_field", "short_row", "long_row", "repeated_column"])
     def test_unreadable_table_exits_1_naming_the_file(self, content, message,
                                                       tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -377,6 +381,32 @@ class TestMain:
         assert done.stderr.startswith(f"out of memory: the channels of {argv[-1]} realizations ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    def test_failed_sweep_removes_the_directories_it_made(self, tmp_path, capsys):
+        # The channels of 1e16 realizations do not fit, so each sweep fails
+        # after its --out is made. Directories that were there stay as they were.
+        kept, empty = tmp_path / "kept", tmp_path / "empty"
+        kept.mkdir()
+        empty.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        for out in (tmp_path / "od" / "sub", kept / "new" / "sub", kept, empty):
+            argv = ["sweep", "--realizations", "10000000000000000", "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("out of memory: the channels of ")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "empty", "kept", "kept/notes.txt"]
+
+    def test_failed_sweep_keeps_a_directory_it_wrote_to(self, monkeypatch, tmp_path):
+        out = tmp_path / "od" / "sub"
+
+        def boom(config, workers=1):
+            (out / "partial.csv").write_text("")
+            raise MemoryError("synthetic failure")
+
+        monkeypatch.setattr(cli, "run_sweep", boom)
+        assert cli.main(["sweep", *TINY_FLAGS, "--out", str(out)]) == 1
+        assert [p.name for p in out.parent.iterdir()] == ["sub"]
+        assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
     def test_io_error_exit_code(self, monkeypatch, tmp_path):
         # An --out that cannot be made fails before the sweep runs.

@@ -11,7 +11,6 @@ from ulpsim.errors import ConfigurationError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
     SimulationConfig,
-    _block_channels,
     _range_errors,
     ber_gap,
     draw_channels,
@@ -21,7 +20,7 @@ from ulpsim.harness import (
 )
 from ulpsim.modem import draw_awgn, qpsk_demodulate, qpsk_modulate, transmit_receive
 from ulpsim.precoder import SchemeMode
-from ulpsim.randomness import derived_stream, snr_key, stream_key
+from ulpsim.randomness import derived_stream, draw_pools, snr_key, stream_key
 
 TINY = SimulationConfig(realizations=6, frames=2, symbols_per_frame=10, seed=99)
 
@@ -30,12 +29,15 @@ def channels_of(config, snr_db, start, stop):
     """Channels of realizations [start, stop), as the engine is given them.
 
     A slice of draw_channels; past the config's realizations (the indices
-    near 2**64), one _block_channels block, which draw_channels is made of.
+    near 2**64), the users select_users keeps of one draw_pools block, which
+    draw_channels is made of.
     """
     if stop <= config.realizations:
         return draw_channels(config, snr_db)[start:stop]
     key = stream_key(config.seed, snr_key(snr_db))
-    return _block_channels(config, np.random.Philox(0), key, start, stop)
+    pools = draw_pools(np.random.Philox(0), key, start, stop, config.pool_users,
+                       config.tx_antennas)
+    return select_users(pools, config.active_users)
 
 
 def range_errors(config, scheme, snr_db, start, stop):
@@ -445,9 +447,8 @@ class TestDrawChannels:
         # Across 2**53 + 1, the first index a float64 cannot hold, and up to
         # the last index, 2**64 - 1.
         config = SimulationConfig(seed=2**64 - 1)
-        key = stream_key(config.seed, snr_key(20.0))
         for start, stop in ((2**53 - 1, 2**53 + 2), (2**64 - 3, 2**64)):
-            got = _block_channels(config, np.random.Philox(0), key, start, stop)
+            got = channels_of(config, 20.0, start, stop)
             assert got.tobytes() == reference_channels(config, 20.0, start, stop).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ulpsim.modem import qpsk_modulate
+from ulpsim.channel import draw_user_pool
+from ulpsim.modem import draw_awgn, qpsk_modulate
 from ulpsim.randomness import (
     box_muller,
     derived_stream,
+    draw_frame,
+    draw_pools,
+    frame_buffer,
+    snr_key,
     start_stream,
     stream_key,
     uniforms,
@@ -114,6 +119,30 @@ def test_draws_after_bits_stay_aligned():
     words = derived_stream(9, 8, 7).bit_generator.random_raw(8)
     assert np.array_equal(word_bits(words[:5]), bits)
     assert np.array_equal(uniforms(words[5:]), after)
+
+
+# 3 tx antennas and 5 pool users make 30 pool words, and a frame of 13
+# symbols to 3 users takes 117 words, so frames 0, 1 and 2 start at words 30,
+# 147 and 264: 2, 3 and 0 past a multiple of 4. The second range crosses 2**32.
+@pytest.mark.parametrize("start,stop", [(0, 4), (2**32 - 2, 2**32 + 1)])
+def test_pool_and_frame_draws_are_derived_stream(start, stop):
+    seed, snr_db, n_pool, n_tx, k, n_sym, n0 = 11, 20.0, 5, 3, 3, 13, 0.3
+    key, philox = stream_key(seed, snr_key(snr_db)), np.random.Philox(0)
+    words = frame_buffer(stop - start, k, n_sym)
+    # Drawn out of order: no draw depends on the one before.
+    frames = {f: draw_frame(philox, key, start, f, n_pool, n_tx, n_sym, n0, words)
+              for f in (2, 0, 1)}
+    pools = draw_pools(philox, key, start, stop, n_pool, n_tx)
+    assert pools.shape == (stop - start, n_pool, n_tx)
+    for i, r in enumerate(range(start, stop)):
+        rng = derived_stream(seed, snr_key(snr_db), r)
+        assert np.array_equal(pools[i], draw_user_pool(rng, n_pool, n_tx)), r
+        for f in range(3):
+            sent, noise = frames[f]
+            assert sent.dtype == bool and sent.shape == (stop - start, n_sym, 2 * k)
+            bits = rng.integers(0, 2, 2 * k * n_sym)
+            assert np.array_equal(sent[i], bits.reshape(n_sym, 2 * k)), (r, f)
+            assert np.array_equal(noise[i], draw_awgn(rng, (k, n_sym), n0).T), (r, f)
 
 
 def test_box_muller_does_not_depend_on_batching():
