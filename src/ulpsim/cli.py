@@ -77,7 +77,7 @@ KNOWN_KEYS = {
 def read_config_file(path: str | Path) -> dict:
     """Parse a flat key=value config file; unknown and repeated keys are errors."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     values: dict = {}

@@ -8,6 +8,15 @@ noise (common random numbers), so pairwise BER gaps are paired comparisons
 and reduction gaps are exactly zero. Every cell runs on the channels
 draw_channels drew, held at 16 * active_users * tx_antennas bytes per
 realization: a sweep draws them once per SNR, a lone run_point per cell.
+
+A sweep also decomposes each SNR's Gram stack H H^H once (np.linalg.eigh)
+and holds that spectrum while the SNR's cells run. A ridged scheme (LMMSEP,
+ULZFP, ULMMSEP: c = u^2 + m*sigma2 > 0) whose c clears solve_hermitian's
+pivot floor for every matrix, c > 2 PIVOT_RTOL (||H H^H + c I||_F + c),
+takes its gains from it (precoder.spectral_gains). Zero-forcing (LZFP,
+c = 0) never clears the floor: its channels may be singular, which only
+build's Cholesky test tells, naming the realization. It, a ridge short of
+the floor, and every lone run_point build per block with precoder.build.
 """
 
 from __future__ import annotations
@@ -27,11 +36,13 @@ from .randomness import (STREAM_LAYOUT, draw_frame, draw_pools, frame_buffer, sn
                          stream_key)
 
 LOW_CONFIDENCE_ERRORS = 10
-# Entry budget of a block of realizations: their stacked pools (realizations
-# x pool users x tx antennas), and one frame of each (realizations x users x
-# symbols), fit in this many entries. Large enough that the per-call overhead
-# of each numpy stage is shared by many realizations, small enough that the
-# arrays stay in cache and a block's memory does not grow with its range.
+# Entry budget of a block of realizations. draw_channels stacks as many pools
+# (pool users x tx antennas each) as fit in it. _range_errors takes as many
+# realizations at a time as fit by the larger of a pool and one frame (users
+# x symbols), and holds only their frames. Large enough that the per-call
+# overhead of each numpy stage is shared by many realizations, small enough
+# that the arrays stay in cache and a block's memory does not grow with its
+# range.
 BLOCK_ENTRIES = 20480
 
 
@@ -194,12 +205,14 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
 
 
 def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
-                  snr_db: float, start: int, channels: np.ndarray) -> int:
+                  snr_db: float, start: int, channels: np.ndarray,
+                  gains: np.ndarray | None = None) -> int:
     """Bit errors of realizations [start, start + len(channels)), a block at a time.
 
-    channels holds their channels, a slice of draw_channels. Blocks are sized
-    by BLOCK_ENTRIES: 25 realizations of the paper's 20 x 8 pools and 100-symbol
-    frames, or 128 of 1-symbol frames. The precoder build runs once per block
+    channels holds their channels, a slice of draw_channels, and gains, when
+    given, their spectral_gains. Blocks are sized by BLOCK_ENTRIES: 25
+    realizations of the paper's 20 x 8 pools and 100-symbol frames, or 128
+    of 1-symbol frames. Without gains the precoder build runs once per block
     on the stacked channels. Per frame, draw_frame draws the block's bits and
     noise, which no scheme changes; the scheme's stage maps the bits, takes
     them to y = H F_data x in one batched matmul, adds the noise and counts
@@ -211,19 +224,25 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, k * n_sym))
     key, philox = _stream_key(config, snr_db), np.random.Philox(0)
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
-    block_words = frame_buffer(min(per_block, len(channels)), k, n_sym)
+    try:
+        block_words = frame_buffer(min(per_block, len(channels)), k, n_sym)
+    except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy indexes
+        raise MemoryError(f"the frames of {n_sym} symbols do not fit: {exc}") from None
     errors = 0
     for first in range(start, start + len(channels), per_block):
         h = channels[first - start:first - start + per_block]
-        try:
-            prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"precoder build failed at realization {first + exc.index} "
-                f"(scheme {scheme.label}, {snr_db} dB): {exc}"
-            ) from exc
-        # beta * effective_gain, transposed to act on rows of symbols.
-        gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
+        if gains is not None:
+            gain_t = gains[first - start:first - start + per_block]
+        else:
+            try:
+                prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"precoder build failed at realization {first + exc.index} "
+                    f"(scheme {scheme.label}, {snr_db} dB): {exc}"
+                ) from exc
+            # beta * effective_gain, transposed to act on rows of symbols.
+            gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
         words = block_words[:len(h)]
         for frame in range(config.frames):
             sent, noise = draw_frame(philox, key, first, frame, n_pool, n_tx, n_sym, n0, words)
@@ -235,11 +254,14 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
 
 
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
-              workers: int = 1, *, channels: np.ndarray | None = None) -> BerRecord:
+              workers: int = 1, *, channels: np.ndarray | None = None,
+              gains: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
 
     channels are draw_channels(config, snr_db): a sweep draws them once per
-    SNR for all its schemes, and a lone cell draws them here, once.
+    SNR for all its schemes, and a lone cell draws them here, once. gains,
+    when given, are the cell's precoder.spectral_gains on those channels, and
+    replace its builds.
     """
     _snr_stream_key(snr_db, config.snr_offset_db)
     if workers < 1:
@@ -251,17 +273,23 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
     elif np.shape(channels) != shape:
         raise ConfigurationError(f"channels must have shape {shape} (realizations, "
                                  f"active_users, tx_antennas), got {np.shape(channels)}")
+    gain_shape = (n, config.active_users, config.active_users)
+    if gains is not None and np.shape(gains) != gain_shape:
+        raise ConfigurationError(f"gains must have shape {gain_shape} (realizations, "
+                                 f"active_users, active_users), got {np.shape(gains)}")
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
-        errors = _range_errors(config, scheme, snr_db, 0, channels)
+        errors = _range_errors(config, scheme, snr_db, 0, channels, gains)
     else:
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), channels[a:b])
+            # Each chunk gets its slices; without gains, it builds its own.
+            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), channels[a:b],
+                                  *(() if gains is None else (gains[a:b],)))
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
@@ -286,16 +314,21 @@ def __getattr__(name: str):
 def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
     """run_point over the full SNR x scheme grid, ordered by (snr, label).
 
-    Each SNR's channels are drawn once, and every scheme's cell reuses them.
+    Each SNR's channels are drawn, and their Gram stack decomposed, once; every
+    scheme's cell reuses the channels, and a ridged one the spectrum's gains.
     """
     from . import __version__
 
     records = []
     for snr_db in config.snr_db:
         channels = draw_channels(config, snr_db)
+        n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
+        spectrum = np.linalg.eigh(channels @ channels.conj().swapaxes(-1, -2))
         for scheme in sorted(config.schemes, key=lambda s: s.label):
+            gains = precoder.spectral_gains(channels, spectrum, scheme, n0,
+                                            config.normalize_data_block_only)
             records.append(run_point(config, scheme, snr_db, workers=workers,
-                                     channels=channels))
+                                     channels=channels, gains=gains))
     return BerTable(records=tuple(records), config=config, version=__version__)
 
 

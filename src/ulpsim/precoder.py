@@ -13,6 +13,12 @@ without them. The builders check u, m and sigma2 at entry, so c >= 0, and
 solve_hermitian solves the Gram stack they build from H. Only c = 0 on a
 rank-deficient channel makes it singular, so a stack is solved or rejected
 whole: a matrix that fails the Cholesky test gets no second path.
+
+spectral_gains gives the same beta H F_data from one eigendecomposition
+H H^H = U diag(lam) U^H, which serves every ridge c: a sweep decomposes an
+SNR's Gram stack once and shares it among its schemes. It takes a stack only
+where c clears solve_hermitian's pivot floor for every matrix, so that the
+Cholesky test could not have rejected it; zero-forcing (c = 0) never does.
 """
 
 from __future__ import annotations
@@ -102,11 +108,15 @@ def per_matrix(beta):
 
 def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float | np.ndarray]:
     """Scale each matrix so that its total power sum |F_ij|^2 = n_tx; returns (F, beta)."""
-    power = np.sum(np.abs(f_raw) ** 2, axis=(-2, -1))
+    beta = _beta(np.sum(np.abs(f_raw) ** 2, axis=(-2, -1)), n_tx)
+    return per_matrix(beta) * f_raw, beta
+
+
+def _beta(power: float | np.ndarray, n_tx: int) -> float | np.ndarray:
+    """sqrt(n_tx / power) of each matrix's raw power, which must be positive and finite."""
     if not np.all((power > 0.0) & np.isfinite(power)):
         raise DegeneratePrecoderError("raw precoder has zero (or non-finite) power")
-    beta = np.sqrt(n_tx / power)
-    return per_matrix(beta) * f_raw, beta
+    return np.sqrt(n_tx / power)
 
 
 def solve_hermitian(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -177,11 +187,7 @@ def build_unified(
     not finite and nonnegative.
     """
     mode = SchemeMode(u, m)
-    # Written so that NaN fails too.
-    if not 0 <= sigma2 < np.inf:
-        raise ConfigurationError(f"noise variance must be finite and nonnegative: sigma2={sigma2}")
-    n_tx = h.shape[-1]
-    c = u * u + m * sigma2
+    n_tx, c = h.shape[-1], _ridge(mode, sigma2)
     gram = h @ h.conj().swapaxes(-1, -2)
     # X = (H H^H + c I)^{-1} H, so F_data = X^H = H^H (H H^H + c I)^{-1}.
     f_data = solve_hermitian(gram, h, ridge=c).conj().swapaxes(-1, -2)
@@ -204,6 +210,48 @@ def build(
 ) -> Precoder:
     """Precoder for a scheme mode; u = 0 is the conventional inversion."""
     return build_unified(h, mode.u, mode.m, sigma2, normalize_data_block_only)
+
+
+def _ridge(mode: SchemeMode, sigma2: float) -> float:
+    """The regularizer c = u^2 + m*sigma2 of a mode, for a finite, nonnegative sigma2."""
+    # Written so that NaN fails too.
+    if not 0 <= sigma2 < np.inf:
+        raise ConfigurationError(f"noise variance must be finite and nonnegative: sigma2={sigma2}")
+    return mode.u * mode.u + mode.m * sigma2
+
+
+def spectral_gains(
+    h: np.ndarray,
+    spectrum: tuple[np.ndarray, np.ndarray],
+    mode: SchemeMode,
+    sigma2: float,
+    normalize_data_block_only: bool = False,
+) -> np.ndarray | None:
+    """(beta H F_data)^T of each matrix of h, from spectrum = eigh(H H^H), or None.
+
+    With c = u^2 + m*sigma2, H F_data = U diag(lam / (lam + c)) U^H, and the
+    raw power is sum lam / (lam + c)^2 for the data block, plus u^2 times
+    the squared norm of (H^H H + c I)^{-1} for the trailing block (left out
+    under normalize_data_block_only). Returns None unless c > 2 PIVOT_RTOL
+    (||H H^H + c I||_F + c) for every matrix, twice solve_hermitian's floor.
+    Past it, neither build's Cholesky test nor, for u > 0, its rounding check
+    could reject the stack; short of it, and always at c = 0, build gives
+    the gains, and any rejection. Zero or non-finite power raises power_scale's
+    DegeneratePrecoderError.
+    """
+    lam, vecs = spectrum
+    n_active, n_tx = h.shape[-2:]
+    c = _ridge(mode, sigma2)
+    if not np.all(c > 2 * PIVOT_RTOL * (np.sqrt(np.sum((lam + c) ** 2, axis=-1)) + c)):
+        return None
+    inv = 1.0 / (lam + c)
+    power = np.sum(lam * inv**2, axis=-1)
+    if mode.u > 0 and not normalize_data_block_only:
+        # H^H H has the eigenvalues lam and n_tx - n_active zeros.
+        power = power + mode.u**2 * (np.sum(inv**2, axis=-1) + (n_tx - n_active) / c**2)
+    weights = _beta(power, n_tx)[..., None] * lam * inv
+    # The transpose of U diag(w) U^H, for real w, is conj(U) diag(w) U^T.
+    return (vecs.conj() * weights[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 def effective_gain(h: np.ndarray, precoder: Precoder) -> np.ndarray:

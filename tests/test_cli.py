@@ -51,6 +51,12 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="realizations"):
             cli.read_config_file(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfrealizations = 2\nframes = 1\n")
+        config = cli.build_config(cli.read_config_file(path))
+        assert (config.realizations, config.frames) == (2, 1)
+
     def test_dimension_constraint_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("active_users = 9\ntx_antennas = 8\n")
@@ -379,6 +385,26 @@ class TestMain:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith(f"out of memory: the channels of {argv[-1]} realizations ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
+    # A frame of 1e19 symbols passes numpy's largest dimension; both commands
+    # draw one realization's channels, then fail at the frame's word buffer.
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--schemes", "LZFP,LMMSEP"], ["point", "--scheme", "LZFP", "--point-snr", "20"],
+    ], ids=["sweep", "point"])
+    def test_huge_symbols_exit_1_with_one_line(self, command, tmp_path):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = ["--out", str(tmp_path)] if command[0] == "sweep" else []
+        argv = [*command, "--realizations", "1", "--frames", "1",
+                "--symbols", "10000000000000000000", *out]
+        done = subprocess.run([sys.executable, "-m", "ulpsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith(
+            "out of memory: the frames of 10000000000000000000 symbols do not fit: ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 

@@ -7,7 +7,7 @@ import pytest
 
 from ulpsim import harness, precoder
 from ulpsim.channel import draw_user_pool, select_users
-from ulpsim.errors import ConfigurationError, SingularMatrixError
+from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
     SimulationConfig,
@@ -493,6 +493,15 @@ class TestDrawChannels:
                                            f"got {shape}")):
             run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, channels=channels)
 
+    @pytest.mark.parametrize("shape", [(5, 8, 8), (6, 8, 7), (8, 8)])
+    def test_wrong_gains_shape_rejected(self, shape):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"gains must have shape (6, 8, 8) "
+                                           f"(realizations, active_users, active_users), "
+                                           f"got {shape}")):
+            run_point(TINY, SchemeMode.from_label("LMMSEP"), 10.0,
+                      gains=np.zeros(shape, dtype=np.complex128))
+
 
 class TestRunSweep:
     def test_cardinality_and_ordering(self):
@@ -562,22 +571,84 @@ class TestRunSweep:
 
     def test_schemes_share_each_snr_channels(self, monkeypatch):
         """The common random numbers the harness promises: every scheme at one
-        SNR builds its precoder for the same channels, and the SNRs differ."""
-        seen = []
-        original = harness.precoder.build
+        SNR gets its gains from the same channels, and the SNRs differ. Each
+        scheme is offered the SNR's one spectrum; LZFP (c = 0) declines it and
+        builds its precoder for those same channels."""
+        offered, built = [], []
+        gains, build = harness.precoder.spectral_gains, harness.precoder.build
 
-        def recorded(h, mode, sigma2, normalize_data_block_only):
-            seen.append((mode.label, h.tobytes()))
-            return original(h, mode, sigma2, normalize_data_block_only)
+        def recorded_gains(h, spectrum, mode, sigma2, normalize_data_block_only):
+            offered.append((mode.label, h.tobytes(), spectrum))
+            return gains(h, spectrum, mode, sigma2, normalize_data_block_only)
 
-        monkeypatch.setattr(harness.precoder, "build", recorded)
+        def recorded_build(h, mode, sigma2, normalize_data_block_only):
+            built.append((mode.label, h.tobytes()))
+            return build(h, mode, sigma2, normalize_data_block_only)
+
+        monkeypatch.setattr(harness.precoder, "spectral_gains", recorded_gains)
+        monkeypatch.setattr(harness.precoder, "build", recorded_build)
         cfg = replace(TINY, snr_db=(10.0, 20.0))
         run_sweep(cfg)
-        assert len(seen) == 8
-        for cells in (seen[:4], seen[4:]):
-            assert sorted(label for label, _ in cells) == sorted(precoder.LABELS)
-            assert len({h for _, h in cells}) == 1
-        assert seen[0][1] != seen[4][1]
+        assert [label for label, _ in built] == ["LZFP", "LZFP"]
+        assert len(offered) == 8
+        for cells, (_, lzfp_h) in zip((offered[:4], offered[4:]), built):
+            assert sorted(label for label, _, _ in cells) == sorted(precoder.LABELS)
+            assert {h for _, h, _ in cells} == {lzfp_h}
+            spectrum = cells[0][2]
+            assert all(s is spectrum for _, _, s in cells)
+            h = np.frombuffer(lzfp_h, dtype=np.complex128).reshape(6, 8, 8)
+            lam, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
+            assert np.array_equal(spectrum[0], lam) and np.array_equal(spectrum[1], vecs)
+        assert built[0][1] != built[1][1]
+
+    def test_zero_forcing_and_a_ridge_short_of_the_floor_build(self, monkeypatch):
+        # At 400 dB LMMSEP's c = 1e-40 is far below 2e-12 * ||H H^H||; ULZFP's
+        # c = 1 clears it and takes the spectrum.
+        built = []
+        build = harness.precoder.build
+
+        def recorded(h, mode, sigma2, normalize_data_block_only):
+            built.append(mode.label)
+            return build(h, mode, sigma2, normalize_data_block_only)
+
+        monkeypatch.setattr(harness.precoder, "build", recorded)
+        cfg = replace(TINY, snr_db=(400.0,), schemes=tuple(
+            SchemeMode.from_label(label) for label in ("LZFP", "LMMSEP", "ULZFP")))
+        table = run_sweep(cfg)
+        assert built == ["LMMSEP", "LZFP"]
+        monkeypatch.setattr(harness.precoder, "build", build)
+        assert table.records == tuple(run_point(cfg, scheme, 400.0)
+                                      for scheme in sorted(cfg.schemes, key=lambda s: s.label))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("data_block_only", [False, True])
+    def test_sweep_counts_equal_lone_counts(self, workers, data_block_only):
+        cfg = SimulationConfig(realizations=7, frames=2, symbols_per_frame=10, seed=31,
+                               snr_db=(4.0, 14.0), normalize_data_block_only=data_block_only)
+        table = run_sweep(cfg, workers=workers)
+        lone = [run_point(cfg, scheme, snr_db, workers=workers) for snr_db in cfg.snr_db
+                for scheme in sorted(cfg.schemes, key=lambda s: s.label)]
+        assert table.records == tuple(lone)
+        assert all(r.bit_errors > 0 for r in lone)
+
+    @pytest.mark.parametrize("workers,lone", [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["1", "2", "lone-1", "lone-2"])
+    def test_zeroed_channel_raises_the_lone_cells_error(self, monkeypatch, workers, lone):
+        original = harness.draw_channels
+
+        def fourth_zeroed(config, snr_db):
+            channels = original(config, snr_db).copy()
+            channels[4] = 0.0
+            return channels
+
+        monkeypatch.setattr(harness, "draw_channels", fourth_zeroed)
+        cfg = replace(TINY, schemes=(SchemeMode.from_label("LMMSEP"),), snr_db=(8.0,))
+        with pytest.raises(DegeneratePrecoderError,
+                           match=r"^raw precoder has zero \(or non-finite\) power$"):
+            if lone:
+                run_point(cfg, cfg.schemes[0], 8.0, workers=workers)
+            else:
+                run_sweep(cfg, workers=workers)
 
     @pytest.mark.parametrize("workers,lone", [(1, False), (2, False), (1, True), (2, True)],
                              ids=["1", "2", "lone-1", "lone-2"])

@@ -330,3 +330,67 @@ class TestEffectiveGain:
         a = build_unified(ch, u=np.sqrt(2.0), m=0.0, sigma2=1.0)
         b = build_unified(ch, u=1.0, m=1.0, sigma2=1.0)
         assert np.max(np.abs(effective_gain(ch, a) - effective_gain(ch, b))) < 1e-10
+
+
+def gram_spectrum(h):
+    return np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
+
+
+def paper_channels(n=300, seed=61):
+    return np.stack([random_channel(seed + i) for i in range(n)])
+
+
+class TestSpectralGains:
+    # 14 dB is the paper's lowest SNR. The eigendecomposition and the solve
+    # both lose about eps * ||H H^H|| / c, so LMMSEP's smaller c at 20-30 dB
+    # leaves them some 1e-11 apart.
+    SIGMA2 = 10.0 ** -1.4
+
+    @pytest.mark.parametrize("label", ["LMMSEP", "ULZFP", "ULMMSEP"])
+    @pytest.mark.parametrize("data_block_only", [False, True])
+    @pytest.mark.parametrize("shape", ["paper", "3x5"])
+    def test_equals_build_data_block(self, label, data_block_only, shape):
+        # At 3 users of 5 antennas, H^H H has two zero eigenvalues that H H^H lacks.
+        h = (paper_channels() if shape == "paper"
+             else crandn(np.random.default_rng(62), 300, 3, 5))
+        mode = SchemeMode.from_label(label)
+        want = (h @ precoder.build(h, mode, self.SIGMA2, data_block_only).data_block())
+        got = precoder.spectral_gains(h, gram_spectrum(h), mode, self.SIGMA2, data_block_only)
+        error = np.linalg.norm(got - want.swapaxes(-1, -2), axis=(-2, -1))
+        assert np.max(error / np.linalg.norm(want, axis=(-2, -1))) < 1e-12
+
+    def test_zero_forcing_is_left_to_build(self):
+        h = paper_channels(25)
+        assert precoder.spectral_gains(h, gram_spectrum(h), SchemeMode(0.0, 0.0), 0.1) is None
+
+    def test_ridge_short_of_the_floor_is_left_to_build(self):
+        # c = 1e-40 is far below 2e-12 * ||H H^H||; build solves it unridged.
+        h = paper_channels(25)
+        spectrum, mode = gram_spectrum(h), SchemeMode.from_label("LMMSEP")
+        assert precoder.spectral_gains(h, spectrum, mode, 1e-40) is None
+        assert precoder.spectral_gains(h, spectrum, mode, 1e-4) is not None
+        build_unified(h, 0.0, 1.0, 1e-40)
+
+    def test_one_matrix_short_of_the_floor_leaves_the_stack_to_build(self):
+        # A matrix whose norm puts c under its floor sends the whole stack to build.
+        h, mode = paper_channels(25), SchemeMode.from_label("LMMSEP")
+        h[7] *= 1e6
+        rest = np.delete(h, 7, axis=0)
+        assert precoder.spectral_gains(rest, gram_spectrum(rest), mode, 1e-4) is not None
+        assert precoder.spectral_gains(h, gram_spectrum(h), mode, 1e-4) is None
+
+    def test_zero_power_raises_as_power_scale_does(self):
+        h = paper_channels(5)
+        h[3] = 0.0
+        mode = SchemeMode.from_label("LMMSEP")
+        with pytest.raises(DegeneratePrecoderError) as built:
+            precoder.build(h, mode, 0.1)
+        with pytest.raises(DegeneratePrecoderError) as spectral:
+            precoder.spectral_gains(h, gram_spectrum(h), mode, 0.1)
+        assert str(spectral.value) == str(built.value)
+
+    @pytest.mark.parametrize("sigma2", [-0.5, np.nan, np.inf])
+    def test_bad_noise_variance_rejected(self, sigma2):
+        h = paper_channels(2)
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            precoder.spectral_gains(h, gram_spectrum(h), SchemeMode(1.0, 1.0), sigma2)
