@@ -9,8 +9,9 @@ class SingularMatrixError(ArithmeticError):
     """A linear system is singular (or not positive definite) within tolerance.
 
     `index` is the failing system's position in the flattened stack that was
-    solved (0 for a single system). solve_hermitian always sets it; it is None
-    on errors raised elsewhere, such as the harness's per-realization message.
+    solved or decomposed (0 for a single system). solve_hermitian and
+    precoder.spectral_gains always set it; it is None on the harness's
+    message, which names the realization itself.
     """
 
     index: int | None = None

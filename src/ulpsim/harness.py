@@ -5,18 +5,13 @@ randomness describes, so counts are a pure function of the configuration,
 whatever the worker count, blocking or scheduling order. The scheme is left
 out of the key: all schemes at one SNR see identical channels, bits, and
 noise (common random numbers), so pairwise BER gaps are paired comparisons
-and reduction gaps are exactly zero. Every cell runs on the channels
-draw_channels drew, held at 16 * active_users * tx_antennas bytes per
-realization: a sweep draws them once per SNR, a lone run_point per cell.
+and reduction gaps are exactly zero.
 
-A sweep also decomposes each SNR's Gram stack H H^H once (np.linalg.eigh)
-and holds that spectrum while the SNR's cells run. A ridged scheme (LMMSEP,
-ULZFP, ULMMSEP: c = u^2 + m*sigma2 > 0) whose c clears solve_hermitian's
-pivot floor for every matrix, c > 2 PIVOT_RTOL (||H H^H + c I||_F + c),
-takes its gains from it (precoder.spectral_gains). Zero-forcing (LZFP,
-c = 0) never clears the floor: its channels may be singular, which only
-build's Cholesky test tells, naming the realization. It, a ridge short of
-the floor, and every lone run_point build per block with precoder.build.
+Every cell, LZFP's included, takes its gains from its SNR's one spectrum:
+np.linalg.eigh of the Gram stack H H^H of the channels draw_channels drew
+(16 * active_users * tx_antennas bytes per realization), which a sweep
+shares among its schemes and a lone run_point computes for its cell. The
+engine, _range_errors, takes gains and streams only.
 """
 
 from __future__ import annotations
@@ -80,6 +75,13 @@ class SimulationConfig:
                 f"active_users must equal tx_antennas "
                 f"(got {self.active_users} vs {self.tx_antennas})"
             )
+        # The pool's words, then 3 per (user, symbol) of each frame.
+        words = (2 * self.pool_users * self.tx_antennas
+                 + 3 * self.frames * self.active_users * self.symbols_per_frame)
+        if words > 2**66:
+            raise ConfigurationError(
+                f"{self.frames} frames of {self.symbols_per_frame} symbols end at word "
+                f"{words} of a stream, past the 2**66 words the stream layout addresses")
         if not self.snr_db:
             raise ConfigurationError("snr_db list is empty")
         keys = [_snr_stream_key(s, self.snr_offset_db) for s in self.snr_db]
@@ -187,8 +189,8 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
     """The read-only (realizations, active_users, tx_antennas) channels of one SNR.
 
     Entry r is the channel stream r of the (seed, SNR) key selects, so every
-    scheme's run_point at this SNR can share them (channels=). They are drawn
-    a block of pools at a time, as many as fit BLOCK_ENTRIES.
+    scheme at this SNR shares them. They are drawn a block of pools at a
+    time, as many as fit BLOCK_ENTRIES.
     """
     key, philox = _stream_key(config, snr_db), np.random.Philox(0)
     n, n_pool, n_tx = config.realizations, config.pool_users, config.tx_antennas
@@ -204,20 +206,34 @@ def draw_channels(config: SimulationConfig, snr_db: float) -> np.ndarray:
     return channels
 
 
-def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
-                  snr_db: float, start: int, channels: np.ndarray,
-                  gains: np.ndarray | None = None) -> int:
-    """Bit errors of realizations [start, start + len(channels)), a block at a time.
+def _spectrum(channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of the Gram stack H H^H of channels: (eigenvalues, eigenvectors)."""
+    return np.linalg.eigh(channels @ channels.conj().swapaxes(-1, -2))
 
-    channels holds their channels, a slice of draw_channels, and gains, when
-    given, their spectral_gains. Blocks are sized by BLOCK_ENTRIES: 25
-    realizations of the paper's 20 x 8 pools and 100-symbol frames, or 128
-    of 1-symbol frames. Without gains the precoder build runs once per block
-    on the stacked channels. Per frame, draw_frame draws the block's bits and
-    noise, which no scheme changes; the scheme's stage maps the bits, takes
-    them to y = H F_data x in one batched matmul, adds the noise and counts
-    the wrong decisions. The receiver's division by beta > 0 changes no
-    decision, so it is skipped.
+
+def _cell_gains(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
+                spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The cell's spectral_gains; a rejected matrix's index is its realization."""
+    n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
+    try:
+        return precoder.spectral_gains(spectrum, scheme, n0, config.tx_antennas,
+                                       config.normalize_data_block_only)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"precoder build failed at realization {exc.index} "
+                                  f"(scheme {scheme.label}, {snr_db} dB): {exc}") from exc
+
+
+def _range_errors(config: SimulationConfig, snr_db: float, start: int,
+                  gains: np.ndarray) -> int:
+    """Bit errors of realizations [start, start + len(gains)), a block at a time.
+
+    gains is their slice of _cell_gains, (beta H F_data)^T, and blocks are
+    sized by BLOCK_ENTRIES: 25 realizations of the paper's 20 x 8 pools and
+    100-symbol frames, or 128 of 1-symbol frames. Per frame, draw_frame draws
+    the block's bits and noise, which no scheme changes; the scheme's stage
+    maps the bits, takes them to y = H F_data x in one batched matmul, adds
+    the noise and counts the wrong decisions. The receiver's division by
+    beta > 0 changes no decision, so it is skipped.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
@@ -225,25 +241,13 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
     key, philox = _stream_key(config, snr_db), np.random.Philox(0)
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     try:
-        block_words = frame_buffer(min(per_block, len(channels)), k, n_sym)
+        block_words = frame_buffer(min(per_block, len(gains)), k, n_sym)
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than numpy indexes
         raise MemoryError(f"the frames of {n_sym} symbols do not fit: {exc}") from None
     errors = 0
-    for first in range(start, start + len(channels), per_block):
-        h = channels[first - start:first - start + per_block]
-        if gains is not None:
-            gain_t = gains[first - start:first - start + per_block]
-        else:
-            try:
-                prec = precoder.build(h, scheme, n0, config.normalize_data_block_only)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"precoder build failed at realization {first + exc.index} "
-                    f"(scheme {scheme.label}, {snr_db} dB): {exc}"
-                ) from exc
-            # beta * effective_gain, transposed to act on rows of symbols.
-            gain_t = (h @ prec.data_block()).swapaxes(-1, -2)
-        words = block_words[:len(h)]
+    for first in range(start, start + len(gains), per_block):
+        gain_t = gains[first - start:first - start + per_block]
+        words = block_words[:len(gain_t)]
         for frame in range(config.frames):
             sent, noise = draw_frame(philox, key, first, frame, n_pool, n_tx, n_sym, n0, words)
             y = modem.qpsk_modulate(sent) @ gain_t
@@ -254,42 +258,34 @@ def _range_errors(config: SimulationConfig, scheme: precoder.SchemeMode,
 
 
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
-              workers: int = 1, *, channels: np.ndarray | None = None,
-              gains: np.ndarray | None = None) -> BerRecord:
+              workers: int = 1, *, gains: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
 
-    channels are draw_channels(config, snr_db): a sweep draws them once per
-    SNR for all its schemes, and a lone cell draws them here, once. gains,
-    when given, are the cell's precoder.spectral_gains on those channels, and
-    replace its builds.
+    gains are the cell's _cell_gains, which run_sweep computes from its
+    SNR's shared spectrum; a lone cell computes them here, in the calling
+    process. Each worker chunk gets its slice.
     """
     _snr_stream_key(snr_db, config.snr_offset_db)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     n = config.realizations
-    shape = (n, config.active_users, config.tx_antennas)
-    if channels is None:
-        channels = draw_channels(config, snr_db)
-    elif np.shape(channels) != shape:
-        raise ConfigurationError(f"channels must have shape {shape} (realizations, "
-                                 f"active_users, tx_antennas), got {np.shape(channels)}")
-    gain_shape = (n, config.active_users, config.active_users)
-    if gains is not None and np.shape(gains) != gain_shape:
-        raise ConfigurationError(f"gains must have shape {gain_shape} (realizations, "
+    shape = (n, config.active_users, config.active_users)
+    if gains is None:
+        gains = _cell_gains(config, scheme, snr_db, _spectrum(draw_channels(config, snr_db)))
+    elif np.shape(gains) != shape:
+        raise ConfigurationError(f"gains must have shape {shape} (realizations, "
                                  f"active_users, active_users), got {np.shape(gains)}")
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
-        errors = _range_errors(config, scheme, snr_db, 0, channels, gains)
+        errors = _range_errors(config, snr_db, 0, gains)
     else:
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            # Each chunk gets its slices; without gains, it builds its own.
-            chunks = [pool.submit(_range_errors, config, scheme, snr_db, int(a), channels[a:b],
-                                  *(() if gains is None else (gains[a:b],)))
+            chunks = [pool.submit(_range_errors, config, snr_db, int(a), gains[a:b])
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
@@ -314,21 +310,17 @@ def __getattr__(name: str):
 def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
     """run_point over the full SNR x scheme grid, ordered by (snr, label).
 
-    Each SNR's channels are drawn, and their Gram stack decomposed, once; every
-    scheme's cell reuses the channels, and a ridged one the spectrum's gains.
+    Each SNR's channels are drawn, and their Gram stack decomposed, once;
+    every scheme's gains come from that spectrum, outside its run_point call.
     """
     from . import __version__
 
     records = []
     for snr_db in config.snr_db:
-        channels = draw_channels(config, snr_db)
-        n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
-        spectrum = np.linalg.eigh(channels @ channels.conj().swapaxes(-1, -2))
+        spectrum = _spectrum(draw_channels(config, snr_db))
         for scheme in sorted(config.schemes, key=lambda s: s.label):
-            gains = precoder.spectral_gains(channels, spectrum, scheme, n0,
-                                            config.normalize_data_block_only)
-            records.append(run_point(config, scheme, snr_db, workers=workers,
-                                     channels=channels, gains=gains))
+            gains = _cell_gains(config, scheme, snr_db, spectrum)
+            records.append(run_point(config, scheme, snr_db, workers=workers, gains=gains))
     return BerTable(records=tuple(records), config=config, version=__version__)
 
 

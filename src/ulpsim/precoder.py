@@ -6,19 +6,17 @@ data block is H^H (H H^H + c I)^{-1}, and for u > 0 the trailing block is
 u (I - F_data H) / c, which by the push-through identity equals
 u (H^H H + c I)^{-1} for any n_active <= n_tx.
 
-Every function takes the channel H as an (..., n_active, n_tx) array, whose
+Every builder takes the channel H as an (..., n_active, n_tx) array, whose
 leading batch axes hold one realization per entry, and builds one precoder
 per matrix with its own beta; a single realization is the batch-of-one case
 without them. The builders check u, m and sigma2 at entry, so c >= 0, and
-solve_hermitian solves the Gram stack they build from H. Only c = 0 on a
-rank-deficient channel makes it singular, so a stack is solved or rejected
-whole: a matrix that fails the Cholesky test gets no second path.
+solve_hermitian solves or rejects their Gram stack whole: a matrix that
+fails the Cholesky test gets no second path.
 
-spectral_gains gives the same beta H F_data from one eigendecomposition
-H H^H = U diag(lam) U^H, which serves every ridge c: a sweep decomposes an
-SNR's Gram stack once and shares it among its schemes. It takes a stack only
-where c clears solve_hermitian's pivot floor for every matrix, so that the
-Cholesky test could not have rejected it; zero-forcing (c = 0) never does.
+spectral_gains gives the same beta H F_data from the spectrum H H^H =
+U diag(lam) U^H alone, for every c >= 0. It accepts a matrix where lam_min +
+c > 2 PIVOT_RTOL (||H H^H + c I||_F + c), and lam_min + c bounds every
+Cholesky pivot squared from below, so the solve accepts it too.
 """
 
 from __future__ import annotations
@@ -33,6 +31,8 @@ LABELS = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 
 # Relative pivot threshold below which a factorization is declared singular.
 PIVOT_RTOL = 1e-12
+_BELOW_ROUNDING = ("u^2 + m*sigma2 = {c:.3g} is below the rounding of H H^H; "
+                   "u = 0 is the conventional inversion")
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,20 @@ def solve_hermitian(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndar
         scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
     accepted = _cholesky_accepts(m, PIVOT_RTOL * scale)
     if not accepted.all():
-        index = int(np.argmin(accepted))
-        if np.isfinite(m[index]).all():
-            error = SingularMatrixError(
-                "matrix is singular or indefinite within tolerance: a Cholesky "
-                f"pivot squared is not above {PIVOT_RTOL:g} x scale {scale[index]:.3e}")
-        else:
-            error = SingularMatrixError("matrix has non-finite entries")
-        error.index = index
-        raise error
+        raise _first_rejected(accepted, np.isfinite(m).all(axis=(-2, -1)), scale,
+                              f"a Cholesky pivot squared is not above {PIVOT_RTOL:g}")
     return np.linalg.solve(m, rhs).reshape(b.shape)
+
+
+def _first_rejected(accepted: np.ndarray, finite: np.ndarray, scale: np.ndarray,
+                    floor: str) -> SingularMatrixError:
+    """The error, with its `index`, of the first matrix of a flattened stack not accepted."""
+    index = int(np.argmin(accepted))
+    error = SingularMatrixError(
+        f"matrix is singular or indefinite within tolerance: {floor} x scale "
+        f"{scale[index]:.3e}" if finite[index] else "matrix has non-finite entries")
+    error.index = index
+    return error
 
 
 def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -195,8 +199,7 @@ def build_unified(
     if u > 0:
         # A c lost in the rounding of H H^H leaves I - F_data H rounding noise.
         if np.any(c <= np.finfo(float).eps * np.linalg.norm(gram, axis=(-2, -1))):
-            raise DegeneratePrecoderError(f"u^2 + m*sigma2 = {c:.3g} is below the rounding "
-                                          "of H H^H; u = 0 is the conventional inversion")
+            raise DegeneratePrecoderError(_BELOW_ROUNDING.format(c=c))
         f_raw = np.concatenate([f_data, (u / c) * (np.eye(n_tx) - f_data @ h)], axis=-1)
     _, beta = power_scale(f_data if normalize_data_block_only else f_raw, n_tx)
     return Precoder(F=per_matrix(beta) * f_raw, beta=beta, mode=mode)
@@ -220,31 +223,34 @@ def _ridge(mode: SchemeMode, sigma2: float) -> float:
     return mode.u * mode.u + mode.m * sigma2
 
 
-def spectral_gains(
-    h: np.ndarray,
-    spectrum: tuple[np.ndarray, np.ndarray],
-    mode: SchemeMode,
-    sigma2: float,
-    normalize_data_block_only: bool = False,
-) -> np.ndarray | None:
-    """(beta H F_data)^T of each matrix of h, from spectrum = eigh(H H^H), or None.
+def spectral_gains(spectrum: tuple[np.ndarray, np.ndarray], mode: SchemeMode, sigma2: float,
+                   n_tx: int, normalize_data_block_only: bool = False) -> np.ndarray:
+    """(beta H F_data)^T of each matrix of a stack, from its spectrum = eigh(H H^H).
 
     With c = u^2 + m*sigma2, H F_data = U diag(lam / (lam + c)) U^H, and the
     raw power is sum lam / (lam + c)^2 for the data block, plus u^2 times
     the squared norm of (H^H H + c I)^{-1} for the trailing block (left out
-    under normalize_data_block_only). Returns None unless c > 2 PIVOT_RTOL
-    (||H H^H + c I||_F + c) for every matrix, twice solve_hermitian's floor.
-    Past it, neither build's Cholesky test nor, for u > 0, its rounding check
-    could reject the stack; short of it, and always at c = 0, build gives
-    the gains, and any rejection. Zero or non-finite power raises power_scale's
-    DegeneratePrecoderError.
+    under normalize_data_block_only). Raises as solve_hermitian does for the
+    first matrix that fails the module's rule, as build_unified does for a
+    u > 0 whose c is lost in the rounding of H H^H, and as power_scale does
+    for zero or non-finite power.
     """
     lam, vecs = spectrum
-    n_active, n_tx = h.shape[-2:]
+    n_active = lam.shape[-1]
     c = _ridge(mode, sigma2)
-    if not np.all(c > 2 * PIVOT_RTOL * (np.sqrt(np.sum((lam + c) ** 2, axis=-1)) + c)):
-        return None
-    inv = 1.0 / (lam + c)
+    # A huge or non-finite c or spectrum fails the test below, where it is named.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = lam + c
+        scale = (np.sqrt(np.sum(shifted**2, axis=-1)) + c).reshape(-1)
+        finite = (np.isfinite(shifted).all(axis=-1)
+                  & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
+        accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
+    if not accepted.all():
+        raise _first_rejected(accepted, finite, scale,
+                              f"the least eigenvalue is not above 2 x {PIVOT_RTOL:g}")
+    if mode.u > 0 and np.any(c <= np.finfo(float).eps * np.sqrt(np.sum(lam**2, axis=-1))):
+        raise DegeneratePrecoderError(_BELOW_ROUNDING.format(c=c))
+    inv = 1.0 / shifted
     power = np.sum(lam * inv**2, axis=-1)
     if mode.u > 0 and not normalize_data_block_only:
         # H^H H has the eigenvalues lam and n_tx - n_active zeros.

@@ -349,6 +349,13 @@ class TestMain:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "non-finite" in err
 
+    def test_vanishing_u_exits_2_with_one_line(self, capsys):
+        flags = ["point", "--scheme", "ULZFP", "--u", "1e-9", "--point-snr", "20"]
+        assert cli.main([*flags, *TINY_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "below the rounding of H H^H" in err
+
     def test_numerical_error_exit_code(self, monkeypatch, tmp_path):
         from ulpsim.errors import SingularMatrixError
 
@@ -388,7 +395,8 @@ class TestMain:
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
 
-    # A frame of 1e19 symbols passes numpy's largest dimension; both commands
+    # A frame of 3e18 symbols ends within a stream's 2**66 words, but its
+    # buffer of 7.2e19 words passes numpy's largest dimension; both commands
     # draw one realization's channels, then fail at the frame's word buffer.
     @pytest.mark.parametrize("command", [
         ["sweep", "--schemes", "LZFP,LMMSEP"], ["point", "--scheme", "LZFP", "--point-snr", "20"],
@@ -398,15 +406,31 @@ class TestMain:
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = ["--out", str(tmp_path)] if command[0] == "sweep" else []
         argv = [*command, "--realizations", "1", "--frames", "1",
-                "--symbols", "10000000000000000000", *out]
+                "--symbols", "3000000000000000000", *out]
         done = subprocess.run([sys.executable, "-m", "ulpsim", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith(
-            "out of memory: the frames of 10000000000000000000 symbols do not fit: ")
+            "out of memory: the frames of 3000000000000000000 symbols do not fit: ")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    # 1e19 frames would end past word 2**66 of a stream, which the layout
+    # cannot address: the config is rejected before any work starts.
+    def test_huge_frames_exit_1_with_one_line(self):
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["point", "--scheme", "LZFP", "--point-snr", "20", "--realizations", "1",
+                "--frames", "10000000000000000000", "--symbols", "1"]
+        done = subprocess.run([sys.executable, "-m", "ulpsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (
+            "configuration error: 10000000000000000000 frames of 1 symbols end at word "
+            "240000000000000000320 of a stream, past the 2**66 words the stream layout "
+            "addresses\n")
 
     def test_failed_sweep_removes_the_directories_it_made(self, tmp_path, capsys):
         # The channels of 1e16 realizations do not fit, so each sweep fails

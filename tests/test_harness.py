@@ -11,7 +11,9 @@ from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularM
 from ulpsim.harness import (
     BerRecord,
     SimulationConfig,
+    _cell_gains,
     _range_errors,
+    _spectrum,
     ber_gap,
     draw_channels,
     run_point,
@@ -40,9 +42,14 @@ def channels_of(config, snr_db, start, stop):
     return select_users(pools, config.active_users)
 
 
+def gains_of(config, scheme, snr_db, start, stop):
+    """The gains of realizations [start, stop), from the spectrum of their channels."""
+    return _cell_gains(config, scheme, snr_db, _spectrum(channels_of(config, snr_db, start, stop)))
+
+
 def range_errors(config, scheme, snr_db, start, stop):
-    """_range_errors of realizations [start, stop) on their channels."""
-    return _range_errors(config, scheme, snr_db, start, channels_of(config, snr_db, start, stop))
+    """_range_errors of realizations [start, stop) on their gains."""
+    return _range_errors(config, snr_db, start, gains_of(config, scheme, snr_db, start, stop))
 
 
 class TestSnrMapping:
@@ -94,6 +101,24 @@ class TestConfigValidation:
         schemes = (SchemeMode.from_label("LZFP"), SchemeMode(1.0, 0.0), SchemeMode(2.0, 0.0))
         with pytest.raises(ConfigurationError, match="repeat"):
             SimulationConfig(schemes=schemes)
+
+    # start_stream addresses a stream's first 2**66 words. One user of one
+    # antenna in a pool of 2 takes 4 pool words and 3 per symbol, so its
+    # last frame can end exactly at word 2**66; the paper's 20 x 8 pool
+    # takes 320 words and each symbol of 8 users 24.
+    @pytest.mark.parametrize("geometry,pool_words,symbol_words", [
+        (dict(tx_antennas=1, pool_users=2, active_users=1), 4, 3), ({}, 320, 24),
+    ], ids=["one_user", "paper"])
+    def test_frames_end_within_the_stream(self, geometry, pool_words, symbol_words):
+        most = (2**66 - pool_words) // symbol_words
+        SimulationConfig(frames=most, symbols_per_frame=1, **geometry)
+        SimulationConfig(frames=1, symbols_per_frame=most, **geometry)
+        for frames, symbols in ((most + 1, 1), (1, most + 1), (10**20, 1)):
+            words = pool_words + symbol_words * frames * symbols
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{frames} frames of {symbols} symbols end at word {words} of a stream, "
+                    "past the 2**66 words the stream layout addresses")):
+                SimulationConfig(frames=frames, symbols_per_frame=symbols, **geometry)
 
     def test_bits_per_point(self):
         assert SimulationConfig().bits_per_point == 1000 * 10 * 100 * 8 * 2
@@ -234,7 +259,7 @@ class TestRunPoint:
     # One tx antenna serving 1 of 1 users: a block's 20480 entries hold the
     # pools of all 16 realizations but only one 20000-symbol frame, so the
     # range is taken a realization at a time and needs no more memory than
-    # one of them. The channels are drawn before tracing starts, so the peak
+    # one of them. The gains are computed before tracing starts, so the peak
     # is the engine's working memory alone.
     def test_long_frames_of_a_small_pool_take_one_realization_at_a_time(self):
         config = SimulationConfig(tx_antennas=1, pool_users=1, active_users=1,
@@ -242,10 +267,10 @@ class TestRunPoint:
         scheme = SchemeMode.from_label("LZFP")
 
         def peak_bytes(stop):
-            channels = channels_of(config, 10.0, 0, stop)
+            gains = gains_of(config, scheme, 10.0, 0, stop)
             tracemalloc.start()
             try:
-                _range_errors(config, scheme, 10.0, 0, channels)
+                _range_errors(config, 10.0, 0, gains)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -254,17 +279,17 @@ class TestRunPoint:
 
     # 1-frame, 1-symbol realizations of the paper's 20 x 8 pool: a block
     # holds the 128 whose pools fit BLOCK_ENTRIES, so a range of 2000 is 16
-    # such blocks and needs no more memory than one of them. The channels
-    # are drawn before tracing starts (see TestDrawChannels for their draw).
+    # such blocks and needs no more memory than one of them. The gains are
+    # computed before tracing starts (see TestDrawChannels for the draw).
     def test_many_short_realizations_take_one_pool_block_at_a_time(self):
         config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=1, seed=8)
         scheme = SchemeMode.from_label("ULMMSEP")
 
         def peak_bytes(stop):
-            channels = channels_of(config, 10.0, 0, stop)
+            gains = gains_of(config, scheme, 10.0, 0, stop)
             tracemalloc.start()
             try:
-                _range_errors(config, scheme, 10.0, 0, channels)
+                _range_errors(config, 10.0, 0, gains)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -272,11 +297,13 @@ class TestRunPoint:
         assert peak_bytes(2000) < 2 * peak_bytes(harness.BLOCK_ENTRIES // 160)
 
     def test_singular_build_names_its_realization(self):
-        # The third channel of the range [1, 6) is realization 3's.
-        channels = channels_of(TINY, 8.0, 1, 6).copy()
-        channels[2] = 0.0
-        with pytest.raises(SingularMatrixError, match="realization 3 "):
-            _range_errors(TINY, SchemeMode.from_label("LZFP"), 8.0, 1, channels)
+        # The gains of a cell are computed from the spectrum of all its
+        # realizations, so a matrix's index in the stack is its realization.
+        channels = draw_channels(TINY, 8.0).copy()
+        channels[3] = 0.0
+        message = r"^precoder build failed at realization 3 \(scheme LZFP, 8.0 dB\): matrix is"
+        with pytest.raises(SingularMatrixError, match=message):
+            _cell_gains(TINY, SchemeMode.from_label("LZFP"), 8.0, _spectrum(channels))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -333,6 +360,9 @@ def reference_errors(config, scheme, snr_db, start, stop):
 class TestRangeErrorsMatchReference:
     """The raw-word engine against the per-realization draws it replaces.
 
+    The engine's gains come from the spectrum, the reference's from
+    precoder.build; the counts are equal.
+
     At the default BLOCK_ENTRIES, 20x10x100 puts all 20 realizations in one
     block (25 would fit), 600x1x1 makes blocks of 128 and a partial 88 (the
     pools bind), and 3x7x700 puts all 3 in one block (the frames bind).
@@ -384,15 +414,10 @@ class TestRangeErrorsMatchReference:
         parts = [(0, 7), (7, 251), (251, 300)]
         assert sum(range_errors(config, scheme, 0.0, a, b) for a, b in parts) == expected
 
-    def test_exact_zero_decides_bit_zero(self, monkeypatch):
+    def test_exact_zero_decides_bit_zero(self):
         # As in qpsk_demodulate: with every estimate exactly 0, each 1 bit sent
-        # is an error. A precoder F = 0 at a noiseless SNR (4000 dB, whose
-        # noise variance underflows to 0) makes every received part +-0.
-        def zero_precoder(h, mode, sigma2, normalize_data_block_only):
-            f = np.zeros(h.shape[:-2] + (h.shape[-1], h.shape[-2]), dtype=np.complex128)
-            return precoder.Precoder(F=f, beta=np.ones(h.shape[:-2]), mode=mode)
-
-        monkeypatch.setattr(harness.precoder, "build", zero_precoder)
+        # is an error. Zero gains at a noiseless SNR (4000 dB, whose noise
+        # variance underflows to 0) make every received part +-0.
         config = SimulationConfig(realizations=3, frames=2, symbols_per_frame=5)
         k, n_sym = config.active_users, config.symbols_per_frame
         ones = 0
@@ -402,8 +427,8 @@ class TestRangeErrorsMatchReference:
             for _ in range(config.frames):
                 ones += int(rng.integers(0, 2, 2 * k * n_sym).sum())
                 draw_awgn(rng, (k, n_sym), 1.0)
-        scheme = SchemeMode.from_label("LZFP")
-        assert range_errors(config, scheme, 4000.0, 0, config.realizations) == ones > 0
+        gains = np.zeros((config.realizations, k, k), dtype=np.complex128)
+        assert _range_errors(config, 4000.0, 0, gains) == ones > 0
 
     def test_indices_past_32_bits(self):
         # A range across 2**53 + 1, the first index a float64 cannot hold,
@@ -460,9 +485,10 @@ class TestDrawChannels:
     ], ids=["tiny", "odd_pool", "paper_partial_block"])
     def test_shared_channels_give_the_lone_count(self, workers, config, label, snr_db):
         scheme = SchemeMode.from_label(label)
+        # As in a sweep: gains from the spectrum of the SNR's shared channels.
         lone = run_point(config, scheme, snr_db, workers=workers)
         shared = run_point(config, scheme, snr_db, workers=workers,
-                           channels=draw_channels(config, snr_db))
+                           gains=gains_of(config, scheme, snr_db, 0, config.realizations))
         assert shared == lone
         assert lone.bit_errors == reference_errors(config, scheme, snr_db, 0,
                                                    config.realizations) > 0
@@ -486,12 +512,12 @@ class TestDrawChannels:
 
     @pytest.mark.parametrize("shape", [(5, 8, 8), (7, 8, 8), (6, 8, 7), (6, 64), (8, 8)])
     def test_wrong_shape_rejected(self, shape):
-        channels = np.zeros(shape, dtype=np.complex128)
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"channels must have shape (6, 8, 8) "
-                                           f"(realizations, active_users, tx_antennas), "
+                           match=re.escape(f"gains must have shape (6, 8, 8) "
+                                           f"(realizations, active_users, active_users), "
                                            f"got {shape}")):
-            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, channels=channels)
+            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0,
+                      gains=np.zeros(shape, dtype=np.complex128))
 
     @pytest.mark.parametrize("shape", [(5, 8, 8), (6, 8, 7), (8, 8)])
     def test_wrong_gains_shape_rejected(self, shape):
@@ -571,54 +597,61 @@ class TestRunSweep:
 
     def test_schemes_share_each_snr_channels(self, monkeypatch):
         """The common random numbers the harness promises: every scheme at one
-        SNR gets its gains from the same channels, and the SNRs differ. Each
-        scheme is offered the SNR's one spectrum; LZFP (c = 0) declines it and
-        builds its precoder for those same channels."""
-        offered, built = [], []
-        gains, build = harness.precoder.spectral_gains, harness.precoder.build
+        SNR takes its gains from one spectrum, eigh of the Gram stack of that
+        SNR's channels, and the SNRs' spectra differ."""
+        offered = []
+        gains = harness.precoder.spectral_gains
 
-        def recorded_gains(h, spectrum, mode, sigma2, normalize_data_block_only):
-            offered.append((mode.label, h.tobytes(), spectrum))
-            return gains(h, spectrum, mode, sigma2, normalize_data_block_only)
+        def recorded(spectrum, mode, *args):
+            offered.append((mode.label, spectrum))
+            return gains(spectrum, mode, *args)
 
-        def recorded_build(h, mode, sigma2, normalize_data_block_only):
-            built.append((mode.label, h.tobytes()))
-            return build(h, mode, sigma2, normalize_data_block_only)
-
-        monkeypatch.setattr(harness.precoder, "spectral_gains", recorded_gains)
-        monkeypatch.setattr(harness.precoder, "build", recorded_build)
+        monkeypatch.setattr(harness.precoder, "spectral_gains", recorded)
         cfg = replace(TINY, snr_db=(10.0, 20.0))
         run_sweep(cfg)
-        assert [label for label, _ in built] == ["LZFP", "LZFP"]
         assert len(offered) == 8
-        for cells, (_, lzfp_h) in zip((offered[:4], offered[4:]), built):
-            assert sorted(label for label, _, _ in cells) == sorted(precoder.LABELS)
-            assert {h for _, h, _ in cells} == {lzfp_h}
-            spectrum = cells[0][2]
-            assert all(s is spectrum for _, _, s in cells)
-            h = np.frombuffer(lzfp_h, dtype=np.complex128).reshape(6, 8, 8)
+        for snr_db, cells in zip(cfg.snr_db, (offered[:4], offered[4:])):
+            assert sorted(label for label, _ in cells) == sorted(precoder.LABELS)
+            spectrum = cells[0][1]
+            assert all(s is spectrum for _, s in cells)
+            h = draw_channels(cfg, snr_db)
             lam, vecs = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
             assert np.array_equal(spectrum[0], lam) and np.array_equal(spectrum[1], vecs)
-        assert built[0][1] != built[1][1]
+        assert not np.array_equal(offered[0][1][0], offered[4][1][0])
 
     def test_zero_forcing_and_a_ridge_short_of_the_floor_build(self, monkeypatch):
-        # At 400 dB LMMSEP's c = 1e-40 is far below 2e-12 * ||H H^H||; ULZFP's
-        # c = 1 clears it and takes the spectrum.
-        built = []
-        build = harness.precoder.build
+        # At 400 dB LMMSEP's c = 1e-40 is far below 2e-12 * ||H H^H||, the
+        # floor a ridge alone would have to clear; LZFP's c is 0. Both build
+        # their gains from the SNR's spectrum, as ULZFP does, since lam_min
+        # clears the floor, and the sweep's records equal the lone cells'.
+        offered = []
+        gains = harness.precoder.spectral_gains
 
-        def recorded(h, mode, sigma2, normalize_data_block_only):
-            built.append(mode.label)
-            return build(h, mode, sigma2, normalize_data_block_only)
+        def recorded(spectrum, mode, *args):
+            offered.append(mode.label)
+            return gains(spectrum, mode, *args)
 
-        monkeypatch.setattr(harness.precoder, "build", recorded)
+        monkeypatch.setattr(harness.precoder, "spectral_gains", recorded)
         cfg = replace(TINY, snr_db=(400.0,), schemes=tuple(
             SchemeMode.from_label(label) for label in ("LZFP", "LMMSEP", "ULZFP")))
         table = run_sweep(cfg)
-        assert built == ["LMMSEP", "LZFP"]
-        monkeypatch.setattr(harness.precoder, "build", build)
+        assert offered == ["LMMSEP", "LZFP", "ULZFP"]
         assert table.records == tuple(run_point(cfg, scheme, 400.0)
                                       for scheme in sorted(cfg.schemes, key=lambda s: s.label))
+
+    def test_no_cell_builds_or_solves(self, monkeypatch):
+        # Every cell, LZFP and lone cells included, takes spectral gains.
+        cfg = replace(TINY, snr_db=(8.0, 400.0))
+        sweep = run_sweep(cfg).records
+        lone = [run_point(cfg, scheme, 8.0) for scheme in cfg.schemes]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a cell built a precoder")
+
+        monkeypatch.setattr(precoder, "build", refused)
+        monkeypatch.setattr(precoder, "solve_hermitian", refused)
+        assert run_sweep(cfg).records == sweep
+        assert [run_point(cfg, scheme, 8.0) for scheme in cfg.schemes] == lone
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("data_block_only", [False, True])

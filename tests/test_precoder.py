@@ -271,8 +271,13 @@ class TestBuildUnified:
     @pytest.mark.parametrize("u,m", [(1e-8, 0.0), (1e-170, 0.0), (1e-170, 1.0)])
     def test_regularizer_below_gram_rounding_raises(self, u, m):
         # (u / c)(I - F_data H) would be amplified rounding noise, or 0 / 0.
-        with pytest.raises(DegeneratePrecoderError, match="below the rounding of H H"):
-            build_unified(random_channel(11), u=u, m=m, sigma2=0.0)
+        # The spectral gains raise the same error.
+        h = random_channel(11)
+        with pytest.raises(DegeneratePrecoderError, match="below the rounding of H H") as built:
+            build_unified(h, u=u, m=m, sigma2=0.0)
+        with pytest.raises(DegeneratePrecoderError) as spectral:
+            spectral_gains(h, SchemeMode(u, m), 0.0)
+        assert str(spectral.value) == str(built.value)
 
     @pytest.mark.parametrize("build,args", [
         (build_unified, (1.0, 1.0, -0.5)),
@@ -340,6 +345,29 @@ def paper_channels(n=300, seed=61):
     return np.stack([random_channel(seed + i) for i in range(n)])
 
 
+def spectral_gains(h, mode, sigma2, data_block_only=False):
+    """precoder.spectral_gains from the spectrum of h's own Gram stack."""
+    return precoder.spectral_gains(gram_spectrum(h), mode, sigma2, h.shape[-1], data_block_only)
+
+
+def build_gains(h, mode, sigma2, data_block_only=False):
+    """(beta H F_data)^T through precoder.build, the reference."""
+    return (h @ precoder.build(h, mode, sigma2, data_block_only).data_block()).swapaxes(-1, -2)
+
+
+def near_singular(h, ratio):
+    """h with its least singular value set so that lam_min / ||H H^H||_F is about ratio."""
+    u, s, vh = np.linalg.svd(h)
+    s[-1] = np.sqrt(ratio * np.linalg.norm(s**2))
+    return (u * s) @ vh
+
+
+def floor_fails(h):
+    """Per matrix: does its spectrum fail the rule at c = 0, lam_min > 2 PIVOT_RTOL ||G||_F?"""
+    lam = gram_spectrum(h)[0]
+    return ~(lam[..., 0] > 2 * precoder.PIVOT_RTOL * np.linalg.norm(lam, axis=-1))
+
+
 class TestSpectralGains:
     # 14 dB is the paper's lowest SNR. The eigendecomposition and the solve
     # both lose about eps * ||H H^H|| / c, so LMMSEP's smaller c at 20-30 dB
@@ -354,30 +382,76 @@ class TestSpectralGains:
         h = (paper_channels() if shape == "paper"
              else crandn(np.random.default_rng(62), 300, 3, 5))
         mode = SchemeMode.from_label(label)
-        want = (h @ precoder.build(h, mode, self.SIGMA2, data_block_only).data_block())
-        got = precoder.spectral_gains(h, gram_spectrum(h), mode, self.SIGMA2, data_block_only)
-        error = np.linalg.norm(got - want.swapaxes(-1, -2), axis=(-2, -1))
+        want = build_gains(h, mode, self.SIGMA2, data_block_only)
+        got = spectral_gains(h, mode, self.SIGMA2, data_block_only)
+        error = np.linalg.norm(got - want, axis=(-2, -1))
         assert np.max(error / np.linalg.norm(want, axis=(-2, -1))) < 1e-12
 
-    def test_zero_forcing_is_left_to_build(self):
-        h = paper_channels(25)
-        assert precoder.spectral_gains(h, gram_spectrum(h), SchemeMode(0.0, 0.0), 0.1) is None
+    @pytest.mark.parametrize("label,sigma2", [("LZFP", 0.1), ("LMMSEP", 1e-40)],
+                             ids=["zero_forcing", "vanishing_ridge"])
+    def test_zero_forcing_equals_build(self, label, sigma2):
+        # At c = 0, or a c far below the rounding of H H^H, both paths
+        # lose about eps cond(H)^2, the bound of ZF exactness (criterion 2).
+        h, mode = paper_channels(), SchemeMode.from_label(label)
+        want = build_gains(h, mode, sigma2)
+        got = spectral_gains(h, mode, sigma2)
+        cond2 = np.linalg.cond(h) ** 2
+        error = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
+        assert np.all(error < 1e-14 * cond2 + 1e-13)
 
-    def test_ridge_short_of_the_floor_is_left_to_build(self):
-        # c = 1e-40 is far below 2e-12 * ||H H^H||; build solves it unridged.
-        h = paper_channels(25)
-        spectrum, mode = gram_spectrum(h), SchemeMode.from_label("LMMSEP")
-        assert precoder.spectral_gains(h, spectrum, mode, 1e-40) is None
-        assert precoder.spectral_gains(h, spectrum, mode, 1e-4) is not None
-        build_unified(h, 0.0, 1.0, 1e-40)
+    # lam_min / ||H H^H||_F from 1e-14 to 1e-9 straddles the rule's 2e-12.
+    @pytest.mark.parametrize("ratio", np.logspace(-14, -9, 11))
+    def test_accepted_stacks_pass_the_cholesky_test(self, ratio):
+        # Matrix 5 is near-singular at ratio, matrix 17 always fails the rule.
+        h = paper_channels(25, seed=300)
+        h[5], h[17] = near_singular(h[5], ratio), near_singular(h[17], 1e-15)
+        fails = floor_fails(h)
+        assert fails[17]
+        mode = SchemeMode.from_label("LZFP")
+        with pytest.raises(SingularMatrixError, match="least eigenvalue") as rejected:
+            spectral_gains(h, mode, 0.0)
+        assert rejected.value.index == int(np.argmax(fails)) in (5, 17)
+        rest = np.delete(h, 17, axis=0)
+        if not floor_fails(rest).any():
+            spectral_gains(rest, mode, 0.0)
+            precoder.solve_hermitian(rest @ rest.conj().swapaxes(-1, -2), rest)
 
-    def test_one_matrix_short_of_the_floor_leaves_the_stack_to_build(self):
-        # A matrix whose norm puts c under its floor sends the whole stack to build.
+    def test_random_stacks_pass_the_cholesky_test(self):
+        # Every paper-geometry stack the rule accepts at c = 0, the solve accepts.
+        for seed in range(20):
+            h = paper_channels(25, seed=1000 + 25 * seed)
+            assert not floor_fails(h).any()
+            spectral_gains(h, SchemeMode.from_label("LZFP"), 0.0)
+            precoder.solve_hermitian(h @ h.conj().swapaxes(-1, -2), h)
+
+    def test_singular_matrix_is_named_by_index(self):
+        # A rank-deficient matrix fails the rule at c = 0; a ridge that
+        # clears its floor takes it, whatever its norm.
         h, mode = paper_channels(25), SchemeMode.from_label("LMMSEP")
-        h[7] *= 1e6
-        rest = np.delete(h, 7, axis=0)
-        assert precoder.spectral_gains(rest, gram_spectrum(rest), mode, 1e-4) is not None
-        assert precoder.spectral_gains(h, gram_spectrum(h), mode, 1e-4) is None
+        h[7, 1] = h[7, 0]
+        h[3] *= 1e6
+        with pytest.raises(SingularMatrixError) as rejected:
+            spectral_gains(h, SchemeMode.from_label("LZFP"), 0.1)
+        assert rejected.value.index == 7
+        with pytest.raises(SingularMatrixError):
+            precoder.build(h, SchemeMode.from_label("LZFP"), 0.1)
+        spectral_gains(h, mode, 1e-4)
+
+    def test_non_finite_spectrum_or_ridge_rejected(self):
+        h = paper_channels(4)
+        lam, vecs = gram_spectrum(h)
+        lam[2, 0] = np.nan
+        with pytest.raises(SingularMatrixError, match="^matrix has non-finite entries$") as nan:
+            precoder.spectral_gains((lam, vecs), SchemeMode.from_label("LMMSEP"), 0.1, 8)
+        assert nan.value.index == 2
+        lam, vecs = gram_spectrum(h)
+        vecs[1, 3, 3] = np.inf
+        with pytest.raises(SingularMatrixError, match="^matrix has non-finite entries$") as inf:
+            precoder.spectral_gains((lam, vecs), SchemeMode.from_label("LMMSEP"), 0.1, 8)
+        assert inf.value.index == 1
+        with pytest.raises(SingularMatrixError, match="^matrix has non-finite entries$") as inf:
+            spectral_gains(h, SchemeMode(1e200, 0.0), 0.1)
+        assert inf.value.index == 0
 
     def test_zero_power_raises_as_power_scale_does(self):
         h = paper_channels(5)
@@ -386,11 +460,11 @@ class TestSpectralGains:
         with pytest.raises(DegeneratePrecoderError) as built:
             precoder.build(h, mode, 0.1)
         with pytest.raises(DegeneratePrecoderError) as spectral:
-            precoder.spectral_gains(h, gram_spectrum(h), mode, 0.1)
+            spectral_gains(h, mode, 0.1)
         assert str(spectral.value) == str(built.value)
 
     @pytest.mark.parametrize("sigma2", [-0.5, np.nan, np.inf])
     def test_bad_noise_variance_rejected(self, sigma2):
         h = paper_channels(2)
         with pytest.raises(ConfigurationError, match="finite and nonnegative"):
-            precoder.spectral_gains(h, gram_spectrum(h), SchemeMode(1.0, 1.0), sigma2)
+            spectral_gains(h, SchemeMode(1.0, 1.0), sigma2)
