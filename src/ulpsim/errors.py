@@ -6,10 +6,10 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A linear system is singular (or not positive definite) within tolerance.
+    """A matrix is singular, indefinite or non-finite within precoder's one spectral rule.
 
-    `index` is the failing system's position in the flattened stack that was
-    solved or decomposed (0 for a single system). solve_hermitian and
+    `index` is the failing matrix's position in the flattened stack whose
+    spectrum was tested (0 for a single matrix). precoder.solve_hermitian and
     precoder.spectral_gains always set it; it is None on the harness's
     message, which names the realization itself.
     """

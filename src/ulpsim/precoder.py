@@ -10,13 +10,12 @@ Every builder takes the channel H as an (..., n_active, n_tx) array, whose
 leading batch axes hold one realization per entry, and builds one precoder
 per matrix with its own beta; a single realization is the batch-of-one case
 without them. The builders check u, m and sigma2 at entry, so c >= 0, and
-solve_hermitian solves or rejects their Gram stack whole: a matrix that
-fails the Cholesky test gets no second path.
+solve_hermitian solves or rejects their Gram stack whole.
 
-spectral_gains gives the same beta H F_data from the spectrum H H^H =
-U diag(lam) U^H alone, for every c >= 0. It accepts a matrix where lam_min +
-c > 2 PIVOT_RTOL (||H H^H + c I||_F + c), and lam_min + c bounds every
-Cholesky pivot squared from below, so the solve accepts it too.
+One decomposition and one rule serve both paths. solve_hermitian and
+spectral_gains work on the spectrum H H^H = U diag(lam) U^H, and accept a
+matrix where lam_min + c > 2 PIVOT_RTOL (||H H^H + c I||_F + c).
+spectral_gains gives the builders' beta H F_data from the spectrum alone.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixE
 
 LABELS = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 
-# Relative pivot threshold below which a factorization is declared singular.
+# Relative floor of the rule: lam_min + c must clear twice this times the scale.
 PIVOT_RTOL = 1e-12
 _BELOW_ROUNDING = ("u^2 + m*sigma2 = {c:.3g} is below the rounding of H H^H; "
                    "u = 0 is the conventional inversion")
@@ -122,49 +121,47 @@ def _beta(power: float | np.ndarray, n_tx: int) -> float | np.ndarray:
 def solve_hermitian(a: np.ndarray, b: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """Solve (A + ridge*I) X = B for Hermitian PSD A and ridge >= 0, for each system of a stack.
 
-    A is (..., n, n) and B is (..., n, k). One batched Cholesky factorization
-    tests every matrix against the PIVOT_RTOL floor; if all pass, one batched
-    solve of the unmodified stack serves them all, and each matrix gets the
-    same bits as if solved alone. Otherwise raises SingularMatrixError for the
-    first rejected matrix, with `index` set to its position in the flattened
-    stack and a message naming its pivot floor or its non-finite entries.
+    A is (..., n, n) and B is (..., n, k). One batched eigendecomposition
+    A = U diag(lam) U^H gives X = U ((U^H B) / (lam + ridge)), and each matrix
+    gets the same bits as if solved alone. Raises SingularMatrixError for the
+    first matrix that fails the module's rule or has non-finite entries, with
+    `index` set to its position in the flattened stack.
     """
     n = a.shape[-1]
-    m = (a + ridge * np.eye(n, dtype=np.complex128)).reshape(-1, n, n)
-    rhs = b.reshape(len(m), n, b.shape[-1])
-    # The norm of a non-finite matrix is inf or NaN, after an inf * 0 that
-    # would warn; such a matrix fails the test below and is named there.
-    with np.errstate(invalid="ignore"):
-        scale = np.maximum(np.linalg.norm(m, axis=(-2, -1)) + ridge, 1e-300)
-    accepted = _cholesky_accepts(m, PIVOT_RTOL * scale)
+    stack = a.reshape(-1, n, n)
+    # eigh raises on NaN: a non-finite matrix is decomposed as zeros and named by its spectrum.
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    lam, vecs = np.linalg.eigh(np.where(finite[:, None, None], stack, 0.0))
+    lam[~finite] = np.nan
+    shifted = _accepted_shift(lam, vecs, ridge)
+    rhs = b.reshape(len(stack), n, b.shape[-1])
+    return (vecs @ ((vecs.conj().swapaxes(-1, -2) @ rhs) / shifted[..., None])).reshape(b.shape)
+
+
+def _accepted_shift(lam: np.ndarray, vecs: np.ndarray, c: float) -> np.ndarray:
+    """lam + c of a stack's spectrum (lam, vecs) of A, once the module's rule accepts each matrix.
+
+    A matrix passes where its spectrum and c are finite and lam_min + c >
+    2 PIVOT_RTOL (||A + c I||_F + c). Otherwise SingularMatrixError names the
+    first that does not, with `index` set to its position in the flattened
+    stack, by its floor or as non-finite.
+    """
+    # A huge or non-finite c or spectrum fails the test below, where it is named.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = lam + c
+        scale = (np.sqrt(np.sum(shifted**2, axis=-1)) + c).reshape(-1)
+        finite = (np.isfinite(shifted).all(axis=-1)
+                  & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
+        accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
     if not accepted.all():
-        raise _first_rejected(accepted, np.isfinite(m).all(axis=(-2, -1)), scale,
-                              f"a Cholesky pivot squared is not above {PIVOT_RTOL:g}")
-    return np.linalg.solve(m, rhs).reshape(b.shape)
-
-
-def _first_rejected(accepted: np.ndarray, finite: np.ndarray, scale: np.ndarray,
-                    floor: str) -> SingularMatrixError:
-    """The error, with its `index`, of the first matrix of a flattened stack not accepted."""
-    index = int(np.argmin(accepted))
-    error = SingularMatrixError(
-        f"matrix is singular or indefinite within tolerance: {floor} x scale "
-        f"{scale[index]:.3e}" if finite[index] else "matrix has non-finite entries")
-    error.index = index
-    return error
-
-
-def _cholesky_accepts(m: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack m: does Cholesky succeed with min pivot^2 above floor?"""
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        # The stack holds a matrix that is not positive definite: test each alone.
-        if len(m) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_cholesky_accepts(m[i:i + 1], floor[i:i + 1])
-                               for i in range(len(m))])
-    return np.min(np.abs(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1) ** 2 > floor
+        index = int(np.argmin(accepted))
+        error = SingularMatrixError(
+            "matrix is singular or indefinite within tolerance: the least eigenvalue is not "
+            f"above 2 x {PIVOT_RTOL:g} x scale {scale[index]:.3e}" if finite[index]
+            else "matrix has non-finite entries")
+        error.index = index
+        raise error
+    return shifted
 
 
 def build_conventional(h: np.ndarray, m: float, sigma2: float) -> Precoder:
@@ -238,16 +235,7 @@ def spectral_gains(spectrum: tuple[np.ndarray, np.ndarray], mode: SchemeMode, si
     lam, vecs = spectrum
     n_active = lam.shape[-1]
     c = _ridge(mode, sigma2)
-    # A huge or non-finite c or spectrum fails the test below, where it is named.
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = lam + c
-        scale = (np.sqrt(np.sum(shifted**2, axis=-1)) + c).reshape(-1)
-        finite = (np.isfinite(shifted).all(axis=-1)
-                  & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
-        accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
-    if not accepted.all():
-        raise _first_rejected(accepted, finite, scale,
-                              f"the least eigenvalue is not above 2 x {PIVOT_RTOL:g}")
+    shifted = _accepted_shift(lam, vecs, c)
     if mode.u > 0 and np.any(c <= np.finfo(float).eps * np.sqrt(np.sum(lam**2, axis=-1))):
         raise DegeneratePrecoderError(_BELOW_ROUNDING.format(c=c))
     inv = 1.0 / shifted

@@ -57,9 +57,19 @@ def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
     Philox makes 4 words per counter value, so the counter is set to
     (word // 4, index, 0, 0) and the first word % 4 words are discarded.
     """
-    philox.state = {"bit_generator": "Philox",
-                    "state": {"counter": (word // 4, index, 0, 0), "key": key},
-                    "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _seek(philox, _state(key), index, word)
+
+
+def _state(key: np.ndarray) -> dict:
+    """A Philox state of key, a stream_key, held as Python ints; _seek sets its counter."""
+    return {"bit_generator": "Philox", "state": {"counter": None, "key": tuple(map(int, key))},
+            "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _seek(philox: np.random.Philox, state: dict, index: int, word: int) -> np.random.Philox:
+    """start_stream on a reused _state, whose counter it overwrites."""
+    state["state"]["counter"] = (word // 4, index, 0, 0)
+    philox.state = state
     if word % 4:
         philox.random_raw(word % 4)
     return philox
@@ -68,8 +78,9 @@ def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
 def read_words(philox: np.random.Philox, key: np.ndarray, start: int, word: int,
                out: np.ndarray) -> np.ndarray:
     """Words [word, word + w) of streams [start, start + n) of key into out, (n, w) uint64."""
+    state = _state(key)
     for i in range(len(out)):
-        out[i] = start_stream(philox, key, start + i, word).random_raw(out.shape[1])
+        out[i] = _seek(philox, state, start + i, word).random_raw(out.shape[1])
     return out
 
 

@@ -54,8 +54,8 @@ class TestSolveHermitian:
             bound = 1e-10 * (np.linalg.norm(a) + ridge) * max(np.linalg.norm(x), 1.0)
             assert np.linalg.norm(m @ x - b) <= bound
 
-    def test_singular_raises_with_pivot(self):
-        with pytest.raises(SingularMatrixError, match="pivot"):
+    def test_singular_raises_with_least_eigenvalue(self):
+        with pytest.raises(SingularMatrixError, match="least eigenvalue"):
             precoder.solve_hermitian(np.zeros((3, 3)), np.eye(3))
 
     def test_matches_per_matrix_solves(self):
@@ -72,7 +72,6 @@ class TestSolveHermitian:
                                           precoder.solve_hermitian(a[i, j], b[i, j], ridge))
 
     def test_indefinite_member_raises_with_its_index(self):
-        # Cholesky fails for the stack; each matrix is then tested alone.
         a = np.array([[[2.0, 0.0], [0.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
         with pytest.raises(SingularMatrixError, match="indefinite") as info:
             precoder.solve_hermitian(a, np.broadcast_to(np.eye(2), (2, 2, 2)))
@@ -80,8 +79,8 @@ class TestSolveHermitian:
 
     @pytest.mark.parametrize("position", [(0, 0), (1, 2), (2, 2)])
     def test_nan_member_raises_with_its_index(self, position):
-        # A zero matrix with one NaN is rejected by Cholesky; the error names
-        # it as non-finite, not as a pivot below a NaN scale.
+        # A zero matrix with one NaN, which eigh cannot take, is named as
+        # non-finite, not as an eigenvalue below a NaN scale.
         rng = np.random.default_rng(3)
         g = crandn(rng, 4, 3, 3)
         a = g @ g.conj().swapaxes(-1, -2)
@@ -101,13 +100,13 @@ class TestSolveHermitian:
 
     def test_first_rejected_member_is_named(self):
         a = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.full((3, 3), np.nan)])
-        with pytest.raises(SingularMatrixError, match="pivot") as info:
+        with pytest.raises(SingularMatrixError, match="least eigenvalue") as info:
             precoder.solve_hermitian(a, np.ones((4, 3, 1)))
         assert info.value.index == 1
 
     def test_singular_member_raises_with_its_index(self):
         a = np.stack([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
-        with pytest.raises(SingularMatrixError, match="pivot") as info:
+        with pytest.raises(SingularMatrixError, match="least eigenvalue") as info:
             precoder.solve_hermitian(a, np.ones((4, 3, 1)))
         assert info.value.index == 2
 
@@ -368,6 +367,15 @@ def floor_fails(h):
     return ~(lam[..., 0] > 2 * precoder.PIVOT_RTOL * np.linalg.norm(lam, axis=-1))
 
 
+def rejection(gains):
+    """(index, message) of the SingularMatrixError that gains() raises, or None if it returns."""
+    try:
+        gains()
+    except SingularMatrixError as error:
+        return error.index, str(error)
+    return None
+
+
 class TestSpectralGains:
     # 14 dB is the paper's lowest SNR. The eigendecomposition and the solve
     # both lose about eps * ||H H^H|| / c, so LMMSEP's smaller c at 20-30 dB
@@ -399,30 +407,28 @@ class TestSpectralGains:
         error = np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))
         assert np.all(error < 1e-14 * cond2 + 1e-13)
 
-    # lam_min / ||H H^H||_F from 1e-14 to 1e-9 straddles the rule's 2e-12.
-    @pytest.mark.parametrize("ratio", np.logspace(-14, -9, 11))
-    def test_accepted_stacks_pass_the_cholesky_test(self, ratio):
-        # Matrix 5 is near-singular at ratio, matrix 17 always fails the rule.
-        h = paper_channels(25, seed=300)
-        h[5], h[17] = near_singular(h[5], ratio), near_singular(h[17], 1e-15)
-        fails = floor_fails(h)
-        assert fails[17]
+    # lam_min / ||H H^H||_F from 1e-14 to 1e-9 straddles the rule's 2e-12;
+    # "random" is 20 random paper-geometry stacks, which the rule accepts.
+    @pytest.mark.parametrize("ratio", [*np.logspace(-14, -9, 11), pytest.param(None, id="random")])
+    def test_build_rejects_as_spectral_gains_does(self, ratio):
+        # At c = 0 both take the same spectrum through the same rule, so they
+        # accept a stack alike or name its first failing matrix alike.
+        if ratio is None:
+            stacks = [paper_channels(25, seed=1000 + 25 * seed) for seed in range(20)]
+            assert not any(floor_fails(h).any() for h in stacks)
+        else:
+            # Matrix 5 is near-singular at ratio, matrix 17 always fails the rule.
+            h = paper_channels(25, seed=300)
+            h[5], h[17] = near_singular(h[5], ratio), near_singular(h[17], 1e-15)
+            assert floor_fails(h)[17]
+            stacks = [h, np.delete(h, 17, axis=0)]
         mode = SchemeMode.from_label("LZFP")
-        with pytest.raises(SingularMatrixError, match="least eigenvalue") as rejected:
-            spectral_gains(h, mode, 0.0)
-        assert rejected.value.index == int(np.argmax(fails)) in (5, 17)
-        rest = np.delete(h, 17, axis=0)
-        if not floor_fails(rest).any():
-            spectral_gains(rest, mode, 0.0)
-            precoder.solve_hermitian(rest @ rest.conj().swapaxes(-1, -2), rest)
-
-    def test_random_stacks_pass_the_cholesky_test(self):
-        # Every paper-geometry stack the rule accepts at c = 0, the solve accepts.
-        for seed in range(20):
-            h = paper_channels(25, seed=1000 + 25 * seed)
-            assert not floor_fails(h).any()
-            spectral_gains(h, SchemeMode.from_label("LZFP"), 0.0)
-            precoder.solve_hermitian(h @ h.conj().swapaxes(-1, -2), h)
+        for h in stacks:
+            fails = floor_fails(h)
+            built = rejection(lambda: precoder.build(h, mode, 0.0))
+            assert built == rejection(lambda: spectral_gains(h, mode, 0.0))
+            first = int(np.argmax(fails)) if fails.any() else None
+            assert (None if built is None else built[0]) == first
 
     def test_singular_matrix_is_named_by_index(self):
         # A rank-deficient matrix fails the rule at c = 0; a ridge that
