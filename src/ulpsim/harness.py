@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -27,17 +28,15 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import (STREAM_LAYOUT, draw_frame, draw_pools, frame_buffer, snr_key,
-                         stream_key)
+from .randomness import (STREAM_LAYOUT, STREAM_WORDS, draw_frame, draw_pools, frame_buffer,
+                         frame_word, snr_key, stream_key)
 
 LOW_CONFIDENCE_ERRORS = 10
 # Entry budget of a block of realizations. draw_channels stacks as many pools
-# (pool users x tx antennas each) as fit in it. _range_errors takes as many
-# realizations at a time as fit by the larger of a pool and one frame (users
-# x symbols), and holds only their frames. Large enough that the per-call
-# overhead of each numpy stage is shared by many realizations, small enough
-# that the arrays stay in cache and a block's memory does not grow with its
-# range.
+# (pool users x tx antennas each) as fit in it, and _range_errors as many
+# frames (users x symbols each). Large enough that the per-call overhead of
+# each numpy stage is shared by many realizations, small enough that the
+# arrays stay in cache and a block's memory does not grow with its range.
 BLOCK_ENTRIES = 20480
 
 
@@ -60,12 +59,18 @@ class SimulationConfig:
     normalize_data_block_only: bool = False
 
     def __post_init__(self) -> None:
+        # Stored as Python ints, which digest() serializes and numpy indexes with.
+        for name in ("seed", "tx_antennas", "pool_users", "active_users", "realizations",
+                     "frames", "symbols_per_frame"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if name != "seed" and getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
-        for name in ("tx_antennas", "pool_users", "active_users", "realizations",
-                     "frames", "symbols_per_frame"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.active_users > self.pool_users:
             raise ConfigurationError(
                 f"active_users={self.active_users} exceeds pool_users={self.pool_users}"
@@ -75,10 +80,9 @@ class SimulationConfig:
                 f"active_users must equal tx_antennas "
                 f"(got {self.active_users} vs {self.tx_antennas})"
             )
-        # The pool's words, then 3 per (user, symbol) of each frame.
-        words = (2 * self.pool_users * self.tx_antennas
-                 + 3 * self.frames * self.active_users * self.symbols_per_frame)
-        if words > 2**66:
+        words = frame_word(self.pool_users, self.tx_antennas, self.active_users,
+                           self.symbols_per_frame, self.frames)
+        if words > STREAM_WORDS:
             raise ConfigurationError(
                 f"{self.frames} frames of {self.symbols_per_frame} symbols end at word "
                 f"{words} of a stream, past the 2**66 words the stream layout addresses")
@@ -227,17 +231,17 @@ def _range_errors(config: SimulationConfig, snr_db: float, start: int,
                   gains: np.ndarray) -> int:
     """Bit errors of realizations [start, start + len(gains)), a block at a time.
 
-    gains is their slice of _cell_gains, (beta H F_data)^T, and blocks are
-    sized by BLOCK_ENTRIES: 25 realizations of the paper's 20 x 8 pools and
-    100-symbol frames, or 128 of 1-symbol frames. Per frame, draw_frame draws
-    the block's bits and noise, which no scheme changes; the scheme's stage
-    maps the bits, takes them to y = H F_data x in one batched matmul, adds
-    the noise and counts the wrong decisions. The receiver's division by
-    beta > 0 changes no decision, so it is skipped.
+    gains is their slice of _cell_gains, (beta H F_data)^T, and a block holds
+    as many realizations as their frames fit BLOCK_ENTRIES: 25 of the paper's
+    8 users and 100 symbols. Per frame, draw_frame draws the block's bits and
+    noise, which no scheme changes; the scheme's stage maps the bits, takes
+    them to y = H F_data x in one batched matmul, adds the noise and counts
+    the wrong decisions. The receiver's division by beta > 0 changes no
+    decision, so it is skipped.
     """
     k, n_sym, n_tx, n_pool = (config.active_users, config.symbols_per_frame,
                               config.tx_antennas, config.pool_users)
-    per_block = max(1, BLOCK_ENTRIES // max(n_pool * n_tx, k * n_sym))
+    per_block = max(1, BLOCK_ENTRIES // (k * n_sym))
     key, philox = _stream_key(config, snr_db), np.random.Philox(0)
     n0 = snr_db_to_noise_variance(snr_db + config.snr_offset_db)
     try:

@@ -146,10 +146,10 @@ def _accepted_shift(lam: np.ndarray, vecs: np.ndarray, c: float) -> np.ndarray:
     first that does not, with `index` set to its position in the flattened
     stack, by its floor or as non-finite.
     """
-    # A huge or non-finite c or spectrum fails the test below, where it is named.
+    # hypot keeps a huge c's norm finite; a non-finite c or spectrum is named below.
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = lam + c
-        scale = (np.sqrt(np.sum(shifted**2, axis=-1)) + c).reshape(-1)
+        scale = (np.hypot.reduce(shifted, axis=-1) + c).reshape(-1)
         finite = (np.isfinite(shifted).all(axis=-1)
                   & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
         accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
@@ -242,7 +242,8 @@ def spectral_gains(spectrum: tuple[np.ndarray, np.ndarray], mode: SchemeMode, si
     power = np.sum(lam * inv**2, axis=-1)
     if mode.u > 0 and not normalize_data_block_only:
         # H^H H has the eigenvalues lam and n_tx - n_active zeros.
-        power = power + mode.u**2 * (np.sum(inv**2, axis=-1) + (n_tx - n_active) / c**2)
+        # Scaled by u before squaring: a huge u overflows c**2 and underflows inv**2.
+        power = power + np.sum((mode.u * inv)**2, axis=-1) + (n_tx - n_active) * (mode.u / c)**2
     weights = _beta(power, n_tx)[..., None] * lam * inv
     # The transpose of U diag(w) U^H, for real w, is conj(U) diag(w) U^T.
     return (vecs.conj() * weights[..., None, :]) @ vecs.swapaxes(-1, -2)

@@ -13,8 +13,8 @@ then per frame integers(0, 2) and draw_awgn. Its words are the pool's
 n_pool * n_tx u1, then as many u2; then per frame of k users and n_sym
 symbols, k * n_sym bit words in (symbol, user) order, each the (re, im)
 bits of one symbol, then k * n_sym noise u1 and as many u2, each in (user,
-symbol) order, so frame f starts at word 2 * n_pool * n_tx + 3 * f * k *
-n_sym. `read_words` reads any words of any streams with one reused Philox,
+symbol) order, so frame f starts at word frame_word(n_pool, n_tx, k, n_sym,
+f). `read_words` reads any words of any streams with one reused Philox,
 and `draw_pools` and `draw_frame` decode them as the Generator would.
 """
 
@@ -29,6 +29,8 @@ _ZEROS4 = (0, 0, 0, 0)
 # Box-Muller phase in float32. Layout 3 keys a stream once per (seed, key)
 # and puts the realization index in the second Philox counter word.
 STREAM_LAYOUT = 3
+# Words a stream addresses: its counter's first word counts 2**64 blocks of 4.
+STREAM_WORDS = 2**66
 
 
 def stream_key(master_seed: int, key: int | None = None) -> np.ndarray:
@@ -50,44 +52,36 @@ def derived_stream(master_seed: int, key: int | None = None,
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, key), counter=counter))
 
 
-def start_stream(philox: np.random.Philox, key: np.ndarray, index: int,
-                 word: int = 0) -> np.random.Philox:
-    """Point a reused Philox at word `word` of stream `index` of key, a stream_key; return it.
-
-    Philox makes 4 words per counter value, so the counter is set to
-    (word // 4, index, 0, 0) and the first word % 4 words are discarded.
-    """
-    return _seek(philox, _state(key), index, word)
-
-
-def _state(key: np.ndarray) -> dict:
-    """A Philox state of key, a stream_key, held as Python ints; _seek sets its counter."""
-    return {"bit_generator": "Philox", "state": {"counter": None, "key": tuple(map(int, key))},
-            "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _seek(philox: np.random.Philox, state: dict, index: int, word: int) -> np.random.Philox:
-    """start_stream on a reused _state, whose counter it overwrites."""
-    state["state"]["counter"] = (word // 4, index, 0, 0)
-    philox.state = state
-    if word % 4:
-        philox.random_raw(word % 4)
-    return philox
+def frame_word(n_pool: int, n_tx: int, k: int, n_sym: int, frame: int) -> int:
+    """The first word of frame `frame` of a stream, whose pool takes 2 * n_pool * n_tx
+    words and each frame 3 * k * n_sym; frame = frames gives the end of the stream."""
+    return 2 * n_pool * n_tx + 3 * frame * k * n_sym
 
 
 def read_words(philox: np.random.Philox, key: np.ndarray, start: int, word: int,
                out: np.ndarray) -> np.ndarray:
-    """Words [word, word + w) of streams [start, start + n) of key into out, (n, w) uint64."""
-    state = _state(key)
+    """Words [word, word + w) of streams [start, start + n) of key into out, (n, w) uint64.
+
+    Philox makes 4 words per counter value, so stream i is read from the
+    counter (word // 4, i, 0, 0), past its first word % 4 words. The call
+    builds one state, its key as Python ints, and rewrites only the counter.
+    """
+    state = {"bit_generator": "Philox", "state": {"counter": None, "key": tuple(map(int, key))},
+             "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in range(len(out)):
-        out[i] = _seek(philox, state, start + i, word).random_raw(out.shape[1])
+        state["state"]["counter"] = (word // 4, start + i, 0, 0)
+        philox.state = state
+        if word % 4:
+            philox.random_raw(word % 4)
+        out[i] = philox.random_raw(out.shape[1])
     return out
 
 
 def draw_pools(philox: np.random.Philox, key: np.ndarray, start: int, stop: int,
                n_pool: int, n_tx: int) -> np.ndarray:
     """The CN(0, 1) (n_pool, n_tx) user pools of streams [start, stop), stacked."""
-    words = np.empty((stop - start, 2 * n_pool * n_tx), dtype=np.uint64)
+    # Frame 0 starts where the pool ends.
+    words = np.empty((stop - start, frame_word(n_pool, n_tx, 0, 0, 0)), dtype=np.uint64)
     u = uniforms(read_words(philox, key, start, 0, words)).reshape(stop - start, 2, n_pool, n_tx)
     return box_muller(u[:, 0], u[:, 1], 1.0)
 
@@ -107,7 +101,7 @@ def draw_frame(philox: np.random.Philox, key: np.ndarray, start: int, frame: int
     n_sym, k) view of its (user, symbol) draw.
     """
     n, k = len(words), words.shape[1] // (3 * n_sym)
-    read_words(philox, key, start, 2 * n_pool * n_tx + 3 * frame * k * n_sym, words)
+    read_words(philox, key, start, frame_word(n_pool, n_tx, k, n_sym, frame), words)
     sent = word_bits(words[:, :k * n_sym]).reshape(n, n_sym, 2 * k)
     u = uniforms(words[:, k * n_sym:]).reshape(n, 2, k, n_sym)
     return sent, box_muller(u[:, 0], u[:, 1], n0).swapaxes(-1, -2)

@@ -349,6 +349,16 @@ class TestMain:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "non-finite" in err
 
+    def test_huge_u_runs(self, capsys):
+        # c = 1e300 is finite and H H^H + c I well conditioned; the data
+        # block's share of the power underflows, which leaves BER near 1/2.
+        flags = ["point", "--scheme", "ULMMSEP", "--u", "1e150", "--point-snr", "20"]
+        assert cli.main([*flags, *TINY_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, row = captured.out.splitlines()
+        assert row.startswith("20.0,ULMMSEP,1e+150,1.0,")
+
     def test_vanishing_u_exits_2_with_one_line(self, capsys):
         flags = ["point", "--scheme", "ULZFP", "--u", "1e-9", "--point-snr", "20"]
         assert cli.main([*flags, *TINY_FLAGS]) == 2

@@ -6,10 +6,10 @@ channels harness.draw_channels drew: a sweep draws each SNR's channels once
 and holds them while that SNR's cells run, at 16 * users * tx antennas
 bytes per realization, and a lone run_point draws its cell's channels the
 same way. Every frame is read at its offset in its stream. At harness's
-default BLOCK_ENTRIES (see harness._range_errors), the 20-realization sweep
-puts its realizations in one block; the 600x1x1 sweep draws its channels,
-and runs its cells, in blocks of 128 realizations and a partial last block;
-and the 3x7x700 sweep puts its 3 realizations in one block.
+default BLOCK_ENTRIES, every sweep below runs each cell's realizations in
+one block (see harness._range_errors), and the 600x1x1 sweep draws its
+channels in blocks of 128 realizations and a partial last block (see
+harness.draw_channels).
 
 Each run_log.jsonl line holds the config digest and the stream layout
 (randomness.STREAM_LAYOUT), so a new layout changes its hash. Layout 2, the

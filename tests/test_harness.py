@@ -79,6 +79,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(realizations=0)
 
+    # A refused value is named by its field; an integer of any type is
+    # stored as a Python int, so that digest() can serialize it.
+    @pytest.mark.parametrize("values,refused", [
+        (dict(realizations=2.5), "realizations"), (dict(frames=1.5), "frames"),
+        (dict(seed=1.5), "seed"), (dict(tx_antennas=8.0, active_users=8.0), "tx_antennas"),
+        (dict(symbols_per_frame="4"), "symbols_per_frame"),
+        (dict(realizations=np.int64(4), seed=np.uint64(2**64 - 1), pool_users=np.int8(9),
+              tx_antennas=np.int32(8), active_users=np.int16(8), frames=np.uint8(2),
+              symbols_per_frame=np.intp(3)), None),
+    ], ids=["realizations", "frames", "seed", "float_geometry", "string", "numpy_integers"])
+    def test_counts_and_seed_are_integers(self, values, refused):
+        if refused:
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{refused} must be an integer, got {values[refused]!r}")):
+                SimulationConfig(**values)
+            return
+        config = SimulationConfig(**values)
+        assert all(type(getattr(config, name)) is int for name in values)
+        plain = SimulationConfig(**{name: int(value) for name, value in values.items()})
+        assert config == plain and config.digest() == plain.digest()
+
     @pytest.mark.parametrize("snr_db", [(20.0, 20.0), (20.0, 20.0004)])
     def test_snrs_sharing_a_stream_key(self, snr_db):
         with pytest.raises(ConfigurationError, match="milli-dB"):
@@ -102,7 +123,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="repeat"):
             SimulationConfig(schemes=schemes)
 
-    # start_stream addresses a stream's first 2**66 words. One user of one
+    # read_words addresses a stream's first 2**66 words. One user of one
     # antenna in a pool of 2 takes 4 pool words and 3 per symbol, so its
     # last frame can end exactly at word 2**66; the paper's 20 x 8 pool
     # takes 320 words and each symbol of 8 users 24.
@@ -225,10 +246,10 @@ class TestRunPoint:
         assert 8e-3 <= ulzfp.ber <= 1.2e-2
         assert lzfp.bit_errors == 0
 
-    # TINY's realizations carry 160 pool entries and 2 frames of 80 symbols,
-    # so the pools bind. With BLOCK_ENTRIES 1, below even a frame, and 160,
-    # blocks hold 1 realization; 400 gives blocks of 2, and 800 blocks of 5
-    # with a partial last block; 2048, 8192 and 10**6 give one block of all 6.
+    # TINY's realizations carry 2 frames of 80 entries (8 users x 10
+    # symbols). With BLOCK_ENTRIES 1, below a frame, blocks hold 1
+    # realization; 160 gives blocks of 2, and 400 blocks of 5 with a partial
+    # last block; 800, 2048, 8192 and 10**6 give one block of all 6.
     @pytest.mark.parametrize("label", ["LZFP", "ULMMSEP"])
     @pytest.mark.parametrize("block_entries", [1, 160, 400, 800, 2048, 8192, 10**6])
     def test_range_count_does_not_depend_on_blocking(self, monkeypatch, label, block_entries):
@@ -256,11 +277,10 @@ class TestRunPoint:
         parts = [(0, 3), (3, 13), (13, 14)]
         assert sum(range_errors(config, scheme, 4.0, a, b) for a, b in parts) == expected
 
-    # One tx antenna serving 1 of 1 users: a block's 20480 entries hold the
-    # pools of all 16 realizations but only one 20000-symbol frame, so the
-    # range is taken a realization at a time and needs no more memory than
-    # one of them. The gains are computed before tracing starts, so the peak
-    # is the engine's working memory alone.
+    # One tx antenna serving 1 of 1 users: a block's 20480 entries hold only
+    # one 20000-symbol frame, so the range is taken a realization at a time
+    # and needs no more memory than one of them. The gains are computed
+    # before tracing starts, so the peak is the engine's working memory alone.
     def test_long_frames_of_a_small_pool_take_one_realization_at_a_time(self):
         config = SimulationConfig(tx_antennas=1, pool_users=1, active_users=1,
                                   realizations=16, frames=2, symbols_per_frame=20000, seed=3)
@@ -277,12 +297,12 @@ class TestRunPoint:
 
         assert peak_bytes(16) < 2 * peak_bytes(1)
 
-    # 1-frame, 1-symbol realizations of the paper's 20 x 8 pool: a block
-    # holds the 128 whose pools fit BLOCK_ENTRIES, so a range of 2000 is 16
-    # such blocks and needs no more memory than one of them. The gains are
+    # 1-frame realizations of 20 symbols to 8 users: a block holds the 128
+    # whose frames fit BLOCK_ENTRIES, so a range of 2000 is 16 blocks, the
+    # last partial, and needs no more memory than one of them. The gains are
     # computed before tracing starts (see TestDrawChannels for the draw).
-    def test_many_short_realizations_take_one_pool_block_at_a_time(self):
-        config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=1, seed=8)
+    def test_many_short_realizations_take_one_block_at_a_time(self):
+        config = SimulationConfig(realizations=2000, frames=1, symbols_per_frame=20, seed=8)
         scheme = SchemeMode.from_label("ULMMSEP")
 
         def peak_bytes(stop):
@@ -364,8 +384,8 @@ class TestRangeErrorsMatchReference:
     precoder.build; the counts are equal.
 
     At the default BLOCK_ENTRIES, 20x10x100 puts all 20 realizations in one
-    block (25 would fit), 600x1x1 makes blocks of 128 and a partial 88 (the
-    pools bind), and 3x7x700 puts all 3 in one block (the frames bind).
+    block (25 would fit), 600x1x1 all 600 (2560 would fit), and 3x7x700 all 3
+    (3 would fit).
     """
 
     @pytest.mark.parametrize("shape,seed,snr_db,offset,label,data_block_only", [
@@ -401,13 +421,13 @@ class TestRangeErrorsMatchReference:
         errors = range_errors(config, scheme, 0.0, 0, 4)
         assert errors == reference_errors(config, scheme, 0.0, 0, 4) > 0
 
-    # 300x1x1 at the default BLOCK_ENTRIES: the 20 x 8 pools bind, at 128
-    # realizations a block, so the whole range makes blocks of 128, 128 and
-    # a partial 44, and the parts (0, 7), (7, 251) and (251, 300) make blocks
-    # of 7, then 128 and a partial 116, then 49.
-    def test_pool_budget_binds_with_a_partial_last_block(self):
-        assert harness.BLOCK_ENTRIES // (20 * 8) == 128
-        config = SimulationConfig(realizations=300, frames=1, symbols_per_frame=1, seed=21)
+    # 300x1x20 at the default BLOCK_ENTRIES: frames of 8 users x 20 symbols
+    # make blocks of 128 realizations, so the whole range makes blocks of
+    # 128, 128 and a partial 44, and the parts (0, 7), (7, 251) and (251,
+    # 300) make blocks of 7, then 128 and a partial 116, then 49.
+    def test_frame_budget_binds_with_a_partial_last_block(self):
+        assert harness.BLOCK_ENTRIES // (8 * 20) == 128
+        config = SimulationConfig(realizations=300, frames=1, symbols_per_frame=20, seed=21)
         scheme = SchemeMode.from_label("LMMSEP")
         expected = reference_errors(config, scheme, 0.0, 0, 300)
         assert range_errors(config, scheme, 0.0, 0, 300) == expected > 0

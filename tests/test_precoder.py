@@ -395,6 +395,17 @@ class TestSpectralGains:
         error = np.linalg.norm(got - want, axis=(-2, -1))
         assert np.max(error / np.linalg.norm(want, axis=(-2, -1))) < 1e-12
 
+    # At a huge u, c = u^2 leaves the data block's raw power to underflow in
+    # both paths, and the trailing block's power to set beta.
+    @pytest.mark.parametrize("label", ["ULZFP", "ULMMSEP"])
+    @pytest.mark.parametrize("u", [1e100, 1e150])
+    def test_huge_u_equals_build(self, label, u):
+        h, mode = paper_channels(), SchemeMode.from_label(label, u=u)
+        want = build_gains(h, mode, self.SIGMA2)
+        got = spectral_gains(h, mode, self.SIGMA2)
+        error = np.linalg.norm(got - want, axis=(-2, -1))
+        assert np.max(error / np.linalg.norm(want, axis=(-2, -1))) < 1e-12
+
     @pytest.mark.parametrize("label,sigma2", [("LZFP", 0.1), ("LMMSEP", 1e-40)],
                              ids=["zero_forcing", "vanishing_ridge"])
     def test_zero_forcing_equals_build(self, label, sigma2):

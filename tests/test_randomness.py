@@ -13,8 +13,9 @@ from ulpsim.randomness import (
     draw_frame,
     draw_pools,
     frame_buffer,
+    frame_word,
+    read_words,
     snr_key,
-    start_stream,
     stream_key,
     uniforms,
     word_bits,
@@ -52,21 +53,28 @@ def test_indexed_streams_do_not_overlap():
 
 
 def test_started_stream_is_derived_stream():
-    # One reused Philox, restarted at indices in any order, keeps no state.
+    # One reused Philox, read_words from streams in any order, keeps no state.
     philox = np.random.Philox(0)
     key = stream_key(42, 14000)
     for r in (3, 2**32, 3, 2**64 - 1, 0, 2**53 + 1):
         expected = derived_stream(42, 14000, r).bit_generator.random_raw(50)
-        assert np.array_equal(start_stream(philox, key, r).random_raw(50), expected), r
+        got = read_words(philox, key, r, 0, np.empty((1, 50), dtype=np.uint64))
+        assert np.array_equal(got[0], expected), r
 
 
 @pytest.mark.parametrize("word", [0, 1, 3, 4, 321])
 def test_stream_started_at_a_word_is_derived_stream_from_that_word(word):
+    # read_words from word `word` of each stream, one at a time and as one range.
     key = stream_key(42, 14000)
     for r in INDICES:
         expected = derived_stream(42, 14000, r).bit_generator.random_raw(word + 50)[word:]
-        started = start_stream(np.random.Philox(0), key, r, word)
-        assert np.array_equal(started.random_raw(50), expected), r
+        got = read_words(np.random.Philox(0), key, r, word, np.empty((1, 50), dtype=np.uint64))
+        assert np.array_equal(got[0], expected), r
+    for start in (2**32 - 1, 2**64 - 3):
+        expected = [derived_stream(42, 14000, r).bit_generator.random_raw(word + 50)[word:]
+                    for r in range(start, start + 3)]
+        got = read_words(np.random.Philox(0), key, start, word, np.empty((3, 50), np.uint64))
+        assert np.array_equal(got, expected), start
 
 
 def test_uniforms_match_generator_random():
@@ -143,6 +151,20 @@ def test_pool_and_frame_draws_are_derived_stream(start, stop):
             bits = rng.integers(0, 2, 2 * k * n_sym)
             assert np.array_equal(sent[i], bits.reshape(n_sym, 2 * k)), (r, f)
             assert np.array_equal(noise[i], draw_awgn(rng, (k, n_sym), n0).T), (r, f)
+
+
+def test_frame_word_is_where_the_generator_reaches():
+    # As above, the pool takes 30 words and each frame 117.
+    n_pool, n_tx, k, n_sym = 5, 3, 3, 13
+    assert [frame_word(n_pool, n_tx, k, n_sym, f) for f in range(4)] == [30, 147, 264, 381]
+    # After the pool and 3 frames, the stream's Generator reads word 381 next.
+    rng = derived_stream(11, 7, 2)
+    draw_user_pool(rng, n_pool, n_tx)
+    for _ in range(3):
+        rng.integers(0, 2, 2 * k * n_sym)
+        draw_awgn(rng, (k, n_sym), 1.0)
+    words = derived_stream(11, 7, 2).bit_generator.random_raw(382)
+    assert rng.bit_generator.random_raw() == words[381]
 
 
 def test_box_muller_does_not_depend_on_batching():
