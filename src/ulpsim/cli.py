@@ -2,7 +2,9 @@
 
 Output files are a pure function of the configuration (seed included), so
 re-runs are byte-identical. Config files are flat key=value lines with `#`
-comments; command-line flags override file values.
+comments; command-line flags override file values. Only `sweep` and `point`
+import the simulation, and numpy with it, once their configuration is built:
+`gaps`, `--help`, `--version` and every configuration error run without it.
 """
 
 from __future__ import annotations
@@ -15,13 +17,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .config import LABELS, STREAM_LAYOUT, BerRecord, BerTable, SchemeMode, SimulationConfig
 from .errors import ConfigurationError
-from .harness import BerRecord, BerTable, SimulationConfig, run_point, run_sweep
-from .precoder import LABELS, SchemeMode
-from .randomness import STREAM_LAYOUT
 
 # Table-style pairwise comparisons emitted per SNR: the conventional pair
 # and the u>0 pair. (The unified family at u=0 is the conventional pair
@@ -232,13 +230,25 @@ def _config_from_args(args) -> SimulationConfig:
     return build_config(values)
 
 
+@contextlib.contextmanager
+def _numpy_quiet():
+    """numpy's error state for a run. A non-finite precoder ends the run with
+    exit 2 in main; numpy's per-operation warnings would only repeat that."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        yield
+
+
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
+    from . import harness
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
     try:
-        table = run_sweep(config, workers=args.workers)
+        with _numpy_quiet():
+            table = harness.run_sweep(config, workers=args.workers)
         emit_table(table, out / "results.csv", out / "gaps.csv")
         emit_plot_data(table, out / "plot.csv")
         emit_run_log(table, out / "run_log.jsonl")
@@ -253,7 +263,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_point(args) -> int:
     config = _config_from_args(args)
-    record = run_point(config, config.schemes[0], config.snr_db[0], workers=args.workers)
+    from . import harness
+    with _numpy_quiet():
+        record = harness.run_point(config, config.schemes[0], config.snr_db[0],
+                                   workers=args.workers)
     print(",".join(RESULT_HEADER))
     print(",".join(str(v) for v in result_row(record)))
     return 0
@@ -318,10 +331,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        # A non-finite precoder ends the run with exit 2 below; numpy's
-        # per-operation warnings would only repeat that on stderr.
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -16,172 +16,25 @@ engine, _range_errors, takes gains and streams only.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import operator
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import channel as chan
 from . import modem, precoder
+# The config and record types are imported from here too.
+from .config import (BerRecord, BerTable, SimulationConfig, _snr_stream_key,
+                     snr_db_to_noise_variance)
 from .errors import ConfigurationError, SingularMatrixError
-from .randomness import (STREAM_LAYOUT, STREAM_WORDS, draw_frame, draw_pools, frame_buffer,
-                         frame_word, snr_key, stream_key)
+from .randomness import draw_frame, draw_pools, frame_buffer, stream_key
 
-LOW_CONFIDENCE_ERRORS = 10
 # Entry budget of a block of realizations. draw_channels stacks as many pools
 # (pool users x tx antennas each) as fit in it, and _range_errors as many
 # frames (users x symbols each). Large enough that the per-call overhead of
 # each numpy stage is shared by many realizations, small enough that the
 # arrays stay in cache and a block's memory does not grow with its range.
 BLOCK_ENTRIES = 20480
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Full experiment description, checked when built; results depend on nothing else."""
-
-    tx_antennas: int = 8
-    pool_users: int = 20
-    active_users: int = 8
-    snr_db: tuple[float, ...] = (14.0, 20.0, 30.0)
-    schemes: tuple[precoder.SchemeMode, ...] = tuple(
-        precoder.SchemeMode.from_label(s) for s in precoder.LABELS
-    )
-    realizations: int = 1000
-    frames: int = 10
-    symbols_per_frame: int = 100
-    seed: int = 20240817
-    snr_offset_db: float = 0.0
-    normalize_data_block_only: bool = False
-
-    def __post_init__(self) -> None:
-        # Stored as Python ints, which digest() serializes and numpy indexes with.
-        for name in ("seed", "tx_antennas", "pool_users", "active_users", "realizations",
-                     "frames", "symbols_per_frame"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
-            if name != "seed" and getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.active_users > self.pool_users:
-            raise ConfigurationError(
-                f"active_users={self.active_users} exceeds pool_users={self.pool_users}"
-            )
-        if self.active_users != self.tx_antennas:
-            raise ConfigurationError(
-                f"active_users must equal tx_antennas "
-                f"(got {self.active_users} vs {self.tx_antennas})"
-            )
-        words = frame_word(self.pool_users, self.tx_antennas, self.active_users,
-                           self.symbols_per_frame, self.frames)
-        if words > STREAM_WORDS:
-            raise ConfigurationError(
-                f"{self.frames} frames of {self.symbols_per_frame} symbols end at word "
-                f"{words} of a stream, past the 2**66 words the stream layout addresses")
-        if not self.snr_db:
-            raise ConfigurationError("snr_db list is empty")
-        keys = [_snr_stream_key(s, self.snr_offset_db) for s in self.snr_db]
-        if len(set(keys)) != len(keys):
-            raise ConfigurationError(
-                f"snr_db values must differ by at least 1 milli-dB, got {self.snr_db}")
-        if not self.schemes:
-            raise ConfigurationError("schemes list is empty")
-        labels = [s.label for s in self.schemes]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"scheme labels must not repeat, got {labels}")
-
-    @property
-    def bits_per_point(self) -> int:
-        return (self.realizations * self.frames * self.symbols_per_frame
-                * self.active_users * 2)
-
-    def digest(self) -> str:
-        """Stable hash of every field and the stream layout, for provenance logs.
-
-        A scheme counts as [u, m]. The layout is not a field: one program
-        draws in one layout, but a config's results differ between layouts.
-        """
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["schemes"] = [[s.u, s.m] for s in self.schemes]
-        payload["stream_layout"] = STREAM_LAYOUT
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class BerRecord:
-    """Error count of one (scheme, SNR) cell, checked when built."""
-
-    scheme_label: str
-    u: float
-    m: float
-    snr_db: float
-    bit_errors: int
-    bits_total: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.snr_db):
-            raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
-        if self.bits_total < 1:
-            raise ConfigurationError(f"bits_total must be >= 1, got {self.bits_total}")
-        if not 0 <= self.bit_errors <= self.bits_total:
-            raise ConfigurationError(
-                f"bit_errors must be between 0 and bits_total {self.bits_total}, "
-                f"got {self.bit_errors}")
-        label = precoder.SchemeMode(self.u, self.m).label
-        if label != self.scheme_label:
-            raise ConfigurationError(
-                f"scheme {self.scheme_label} has u = {self.u}, m = {self.m}, which make {label}")
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.bits_total
-
-    @property
-    def standard_error(self) -> float:
-        p = self.ber
-        return float(np.sqrt(p * (1.0 - p) / self.bits_total))
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.bit_errors < LOW_CONFIDENCE_ERRORS
-
-
-@dataclass(frozen=True)
-class BerTable:
-    records: tuple[BerRecord, ...]
-    config: SimulationConfig
-    version: str = ""
-
-    def lookup(self, scheme_label: str, snr_db: float) -> BerRecord:
-        for r in self.records:
-            if r.scheme_label == scheme_label and r.snr_db == snr_db:
-                return r
-        raise KeyError(f"no record for scheme {scheme_label!r} at {snr_db} dB")
-
-
-def snr_db_to_noise_variance(snr_db: float) -> float:
-    """Per-stream Es/N0 convention with unit symbol energy: N0 = 10^(-SNR/10)."""
-    return float(10.0 ** (-snr_db / 10.0))
-
-
-def _snr_stream_key(snr_db: float, offset_db: float) -> int:
-    """snr_key of a finite SNR whose noise variance is finite (0 is the noiseless limit)."""
-    try:
-        if (np.isfinite(snr_db + offset_db)
-                and snr_db_to_noise_variance(snr_db + offset_db) < np.inf):
-            return snr_key(snr_db)
-    except OverflowError:
-        pass
-    raise ConfigurationError(
-        f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
 
 
 def _stream_key(config: SimulationConfig, snr_db: float) -> np.ndarray:

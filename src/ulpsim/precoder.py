@@ -24,55 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# SchemeMode and LABELS are imported from here too.
+from .config import LABELS, SchemeMode
 from .errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
-
-LABELS = ("LZFP", "LMMSEP", "ULZFP", "ULMMSEP")
 
 # Relative floor of the rule: lam_min + c must clear twice this times the scale.
 PIVOT_RTOL = 1e-12
 _BELOW_ROUNDING = ("u^2 + m*sigma2 = {c:.3g} is below the rounding of H H^H; "
                    "u = 0 is the conventional inversion")
-
-
-@dataclass(frozen=True)
-class SchemeMode:
-    """Precoding scheme knobs: augmentation weight u and regularizer multiplier m."""
-
-    u: float
-    m: float
-
-    def __post_init__(self):
-        # Written so that NaN fails too.
-        if not (0 <= self.u < np.inf and 0 <= self.m < np.inf):
-            raise ConfigurationError(
-                f"scheme parameters must be finite and nonnegative: u={self.u}, m={self.m}")
-
-    @property
-    def label(self) -> str:
-        if self.u == 0:
-            return "LZFP" if self.m == 0 else "LMMSEP"
-        return "ULZFP" if self.m == 0 else "ULMMSEP"
-
-    @classmethod
-    def from_label(cls, label: str, u: float = 1.0, m: float = 1.0) -> "SchemeMode":
-        """Mode for a scheme name; u and m apply only where the name allows them.
-
-        Both weights are checked whether the name uses them or not, and a
-        weight the name needs may not be 0: the mode would carry another label.
-        """
-        name = label.strip().upper()
-        if name not in LABELS:
-            raise ConfigurationError(f"unknown scheme {label!r}; expected one of {LABELS}")
-        cls(u, m)
-        needs = [w for w, needed in (("u", name.startswith("U")), ("m", "MMSE" in name))
-                 if needed]
-        mode = cls(u if "u" in needs else 0.0, m if "m" in needs else 0.0)
-        zero = [w for w in needs if getattr(mode, w) == 0]
-        if zero:
-            raise ConfigurationError(
-                f"scheme {name} needs {' and '.join(f'{w} > 0' for w in zero)} "
-                f"({', '.join(f'{w} = 0' for w in zero)} makes it {mode.label})")
-        return mode
 
 
 @dataclass(frozen=True)

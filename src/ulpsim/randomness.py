@@ -14,7 +14,9 @@ n_pool * n_tx u1, then as many u2; then per frame of k users and n_sym
 symbols, k * n_sym bit words in (symbol, user) order, each the (re, im)
 bits of one symbol, then k * n_sym noise u1 and as many u2, each in (user,
 symbol) order, so frame f starts at word frame_word(n_pool, n_tx, k, n_sym,
-f). `read_words` reads any words of any streams with one reused Philox,
+f). That addressing (STREAM_LAYOUT, STREAM_WORDS, frame_word and snr_key)
+lives in config, which checks a configuration against it without numpy.
+Here `read_words` reads any words of any streams with one reused Philox,
 and `draw_pools` and `draw_frame` decode them as the Generator would.
 """
 
@@ -22,15 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# STREAM_LAYOUT and snr_key are imported from here too.
+from .config import STREAM_LAYOUT, frame_word, snr_key
+
 _MASK64 = (1 << 64) - 1
 _ZEROS4 = (0, 0, 0, 0)
-# Version of the mapping from a seed to the values drawn from it, written to
-# the config digest and to every run_log.jsonl line. Layout 2 took the
-# Box-Muller phase in float32. Layout 3 keys a stream once per (seed, key)
-# and puts the realization index in the second Philox counter word.
-STREAM_LAYOUT = 3
-# Words a stream addresses: its counter's first word counts 2**64 blocks of 4.
-STREAM_WORDS = 2**66
 
 
 def stream_key(master_seed: int, key: int | None = None) -> np.ndarray:
@@ -50,12 +48,6 @@ def derived_stream(master_seed: int, key: int | None = None,
     # Philox's constructor reads Python ints through float64; uint64 arrays stay exact.
     counter = np.array([0, index, 0, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, key), counter=counter))
-
-
-def frame_word(n_pool: int, n_tx: int, k: int, n_sym: int, frame: int) -> int:
-    """The first word of frame `frame` of a stream, whose pool takes 2 * n_pool * n_tx
-    words and each frame 3 * k * n_sym; frame = frames gives the end of the stream."""
-    return 2 * n_pool * n_tx + 3 * frame * k * n_sym
 
 
 def read_words(philox: np.random.Philox, key: np.ndarray, start: int, word: int,
@@ -149,8 +141,3 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
     np.multiply(r, np.cos(phase), out=z.real)
     np.multiply(r, np.sin(phase), out=z.imag)
     return z
-
-
-def snr_key(snr_db: float) -> int:
-    """Stable integer key for an SNR value (milli-dB resolution)."""
-    return int(round(snr_db * 1000.0))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ulpsim import cli
+from ulpsim import cli, harness
 from ulpsim.errors import ConfigurationError
 from ulpsim.harness import SimulationConfig, run_sweep
 from ulpsim.randomness import STREAM_LAYOUT
@@ -372,14 +372,14 @@ class TestMain:
         def boom(config, workers=1):
             raise SingularMatrixError("synthetic failure")
 
-        monkeypatch.setattr(cli, "run_sweep", boom)
+        monkeypatch.setattr(harness, "run_sweep", boom)
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(tmp_path / "x")]) == 2
 
     def test_out_of_memory_exits_1_with_one_line(self, monkeypatch, capsys):
         def boom(config, scheme, snr_db, workers=1):
             raise MemoryError("Unable to allocate 175. TiB for an array")
 
-        monkeypatch.setattr(cli, "run_point", boom)
+        monkeypatch.setattr(harness, "run_point", boom)
         assert cli.main(["point", "--scheme", "LZFP", "--point-snr", "20", *TINY_FLAGS]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -463,14 +463,14 @@ class TestMain:
             (out / "partial.csv").write_text("")
             raise MemoryError("synthetic failure")
 
-        monkeypatch.setattr(cli, "run_sweep", boom)
+        monkeypatch.setattr(harness, "run_sweep", boom)
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(out)]) == 1
         assert [p.name for p in out.parent.iterdir()] == ["sub"]
         assert [p.name for p in out.iterdir()] == ["partial.csv"]
 
     def test_io_error_exit_code(self, monkeypatch, tmp_path):
         # An --out that cannot be made fails before the sweep runs.
-        monkeypatch.setattr(cli, "run_sweep", lambda config, workers=1: pytest.fail("ran"))
+        monkeypatch.setattr(harness, "run_sweep", lambda config, workers=1: pytest.fail("ran"))
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert cli.main(["sweep", *TINY_FLAGS, "--out", str(blocker / "sub")]) == 3

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -5,11 +6,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from ulpsim import harness, precoder
+from ulpsim import cli, harness, precoder
 from ulpsim.channel import draw_user_pool, select_users
 from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
+    BerTable,
     SimulationConfig,
     _cell_gains,
     _range_errors,
@@ -100,6 +102,54 @@ class TestConfigValidation:
         plain = SimulationConfig(**{name: int(value) for name, value in values.items()})
         assert config == plain and config.digest() == plain.digest()
 
+    # Every accepted float is stored as a Python float and the flag as a
+    # Python bool, so that digest() and the run log serialize the config.
+    @pytest.mark.parametrize("values,plain", [
+        (dict(snr_db=(np.float32(14.0), 20)), dict(snr_db=(14.0, 20.0))),
+        (dict(snr_offset_db=np.float32(1.0)), dict(snr_offset_db=1.0)),
+        (dict(normalize_data_block_only=np.bool_(True)), dict(normalize_data_block_only=True)),
+        (dict(schemes=(SchemeMode(np.float32(1.0), 0.0),)),
+         dict(schemes=(SchemeMode(1.0, 0.0),))),
+    ], ids=["numpy_snr", "numpy_offset", "numpy_flag", "numpy_scheme_weight"])
+    def test_numpy_scalars_are_stored_as_python_values(self, values, plain, tmp_path):
+        config, reference = SimulationConfig(**values), SimulationConfig(**plain)
+        assert config == reference and config.digest() == reference.digest()
+        assert all(type(s) is float for s in config.snr_db)
+        assert type(config.snr_offset_db) is float
+        assert type(config.normalize_data_block_only) is bool
+        scheme = config.schemes[0]
+        assert type(scheme.u) is float and type(scheme.m) is float
+        record = BerRecord(scheme.label, scheme.u, scheme.m, config.snr_db[0], 0,
+                           config.bits_per_point)
+        cli.emit_run_log(BerTable(records=(record,), config=config), tmp_path / "log.jsonl")
+        logged = json.loads((tmp_path / "log.jsonl").read_text())
+        assert logged["config_sha256"] == reference.digest()
+
+    @pytest.mark.parametrize("values,refused", [
+        (dict(snr_db=(14.0, True)), "snr_db"), (dict(snr_db=("14",)), "snr_db"),
+        (dict(snr_offset_db=False), "snr_offset_db"), (dict(snr_offset_db="1"), "snr_offset_db"),
+    ], ids=["bool_snr", "string_snr", "bool_offset", "string_offset"])
+    def test_floats_refuse_bools_and_strings(self, values, refused):
+        value = values[refused][-1] if refused == "snr_db" else values[refused]
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{refused} must be a real number, got {value!r}")):
+            SimulationConfig(**values)
+
+    # "no" would be read as true, normalizing over the data block alone
+    # while the record says otherwise.
+    @pytest.mark.parametrize("flag", ["no", "False", 2, None, np.nan])
+    def test_flag_must_equal_true_or_false(self, flag):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"normalize_data_block_only must be True or False, got {flag!r}")):
+            SimulationConfig(normalize_data_block_only=flag)
+
+    def test_list_fields_are_stored_as_tuples(self):
+        schemes = [SchemeMode.from_label("LZFP"), SchemeMode.from_label("ULMMSEP")]
+        config = SimulationConfig(snr_db=[14.0, 20.0], schemes=schemes)
+        reference = SimulationConfig(snr_db=(14.0, 20.0), schemes=tuple(schemes))
+        assert type(config.snr_db) is tuple and type(config.schemes) is tuple
+        assert config == reference and hash(config) == hash(reference)
+
     @pytest.mark.parametrize("snr_db", [(20.0, 20.0), (20.0, 20.0004)])
     def test_snrs_sharing_a_stream_key(self, snr_db):
         with pytest.raises(ConfigurationError, match="milli-dB"):
@@ -163,8 +213,10 @@ class TestConfigValidation:
             assert config.digest() != base, name
 
     def test_digest_changes_with_stream_layout(self, monkeypatch):
+        from ulpsim import config
+
         base = SimulationConfig().digest()
-        monkeypatch.setattr(harness, "STREAM_LAYOUT", harness.STREAM_LAYOUT + 1)
+        monkeypatch.setattr(config, "STREAM_LAYOUT", config.STREAM_LAYOUT + 1)
         assert SimulationConfig().digest() != base
 
     def test_default_digest_is_pinned(self):

@@ -142,6 +142,22 @@ class TestSchemeMode:
         with pytest.raises(ConfigurationError, match="finite"):
             SchemeMode(u, m)
 
+    # A weight of any real type is stored as a Python float; a bool or a
+    # string is refused by name.
+    @pytest.mark.parametrize("u,m,refused", [
+        (True, 0.0, "u"), (1.0, "1", "m"), (np.bool_(True), 1.0, "u"), ("nan", 0.0, "u"),
+        (np.float32(0.5), np.int64(2), None),
+    ], ids=["bool_u", "string_m", "numpy_bool_u", "string_nan_u", "numpy_reals"])
+    def test_weights_are_real_numbers(self, u, m, refused):
+        if refused:
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"{refused} must be a real number, got {(u, m)[refused == 'm']!r}")):
+                SchemeMode(u, m)
+            return
+        mode = SchemeMode(u, m)
+        assert type(mode.u) is float and type(mode.m) is float
+        assert mode == SchemeMode(0.5, 2.0)
+
 
 class TestPowerScale:
     def test_already_normalized(self):
