@@ -13,10 +13,9 @@ _HOMES = {
     "channel": ("draw_user_pool", "select_users"),
     "config": ("BerRecord", "BerTable", "SchemeMode", "SimulationConfig",
                "snr_db_to_noise_variance"),
-    "harness": ("ber_gap", "run_point", "run_sweep"),
+    "harness": ("run_point", "run_sweep"),
     "modem": ("draw_awgn", "qpsk_demodulate", "qpsk_modulate", "transmit_receive"),
-    "precoder": ("Precoder", "build_conventional", "build_unified", "effective_gain",
-                 "power_scale"),
+    "precoder": ("Precoder", "build_conventional", "build_unified", "power_scale"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -40,6 +40,14 @@ def snr_key(snr_db: float) -> int:
     return int(round(snr_db * 1000.0))
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int, by operator.index: a float, a string or None is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _real(name: str, value) -> float:
     """value as a Python float; a bool, a string or a number no float holds is refused."""
     if type(value) is float:  # the common case, spared the slower ABC check below
@@ -116,11 +124,7 @@ class SimulationConfig:
         # serializes, numpy indexes with and hash() takes.
         for name in ("seed", "tx_antennas", "pool_users", "active_users", "realizations",
                      "frames", "symbols_per_frame"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
             if name != "seed" and getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("snr_db", "schemes"):
@@ -161,6 +165,9 @@ class SimulationConfig:
                 f"snr_db values must differ by at least 1 milli-dB, got {self.snr_db}")
         if not self.schemes:
             raise ConfigurationError("schemes list is empty")
+        for scheme in self.schemes:
+            if not isinstance(scheme, SchemeMode):
+                raise ConfigurationError(f"schemes must hold SchemeMode values, got {scheme!r}")
         labels = [s.label for s in self.schemes]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"scheme labels must not repeat, got {labels}")
@@ -196,6 +203,10 @@ class BerRecord:
     bits_total: int
 
     def __post_init__(self) -> None:
+        # Stored as Python values, as SimulationConfig stores its own.
+        object.__setattr__(self, "snr_db", _real("snr_db", self.snr_db))
+        object.__setattr__(self, "bits_total", _integer("bits_total", self.bits_total))
+        object.__setattr__(self, "bit_errors", _integer("bit_errors", self.bit_errors))
         if not math.isfinite(self.snr_db):
             raise ConfigurationError(f"snr_db must be finite, got {self.snr_db}")
         if self.bits_total < 1:
@@ -204,10 +215,12 @@ class BerRecord:
             raise ConfigurationError(
                 f"bit_errors must be between 0 and bits_total {self.bits_total}, "
                 f"got {self.bit_errors}")
-        label = SchemeMode(self.u, self.m).label
-        if label != self.scheme_label:
-            raise ConfigurationError(
-                f"scheme {self.scheme_label} has u = {self.u}, m = {self.m}, which make {label}")
+        mode = SchemeMode(self.u, self.m)
+        object.__setattr__(self, "u", mode.u)
+        object.__setattr__(self, "m", mode.m)
+        if mode.label != self.scheme_label:
+            raise ConfigurationError(f"scheme {self.scheme_label} has u = {self.u}, "
+                                     f"m = {self.m}, which make {mode.label}")
 
     @property
     def ber(self) -> float:

@@ -1,24 +1,14 @@
-"""Exception types shared across the package."""
-
-
-class ShapeError(ValueError):
-    """Matrix/vector dimensions do not line up for the requested operation."""
+"""Exception types shared across the package, one per exit code the command line adds."""
 
 
 class SingularMatrixError(ArithmeticError):
-    """A matrix is singular, indefinite or non-finite within precoder's one spectral rule.
+    """A matrix that precoder refuses to build a precoder for (see its module docstring).
 
-    `index` is the failing matrix's position in the flattened stack whose
-    spectrum was tested (0 for a single matrix). precoder.solve_hermitian and
-    precoder.spectral_gains always set it; it is None on the harness's
-    message, which names the realization itself.
+    `index` is its position in the flattened stack (0 for a single matrix); it
+    is None on the harness's message, which names the realization itself.
     """
 
     index: int | None = None
-
-
-class DegeneratePrecoderError(ArithmeticError):
-    """Raw precoding matrix has zero power and cannot be normalized."""
 
 
 class ConfigurationError(ValueError):

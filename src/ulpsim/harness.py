@@ -179,8 +179,3 @@ def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
             gains = _cell_gains(config, scheme, snr_db, spectrum)
             records.append(run_point(config, scheme, snr_db, workers=workers, gains=gains))
     return BerTable(records=tuple(records), config=config, version=__version__)
-
-
-def ber_gap(table: BerTable, scheme_a: str, scheme_b: str, snr_db: float) -> float:
-    """BER(a) - BER(b) at the given SNR."""
-    return table.lookup(scheme_a, snr_db).ber - table.lookup(scheme_b, snr_db).ber

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
 from .precoder import Precoder, per_matrix
 from .randomness import complex_normal
 
@@ -29,7 +28,7 @@ def qpsk_modulate(bits) -> np.ndarray:
     """
     b = np.asarray(bits)
     if b.ndim < 1 or b.shape[-1] % 2 != 0:
-        raise ShapeError(f"bit block must have an even-length last axis, got shape {b.shape}")
+        raise ValueError(f"bit block must have an even-length last axis, got shape {b.shape}")
     if b.dtype != bool:
         outside = (b != 0) & (b != 1)
         if outside.any():
@@ -68,11 +67,11 @@ def transmit_receive(
     f_data = precoder.data_block()
     streams = x.shape[0] if x.ndim == 1 else x.shape[-2]
     if streams != f_data.shape[-1]:
-        raise ShapeError(
+        raise ValueError(
             f"symbol vector has {streams} streams but precoder expects {f_data.shape[-1]}"
         )
     if z.shape != x.shape:
-        raise ShapeError(f"noise shape {z.shape} does not match symbols {x.shape}")
+        raise ValueError(f"noise shape {z.shape} does not match symbols {x.shape}")
     # Gain control applied termwise so the noise contribution is exactly
     # additive: est(x, z) == est(x, 0) + z/beta.
     beta = per_matrix(precoder.beta)

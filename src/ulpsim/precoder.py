@@ -16,6 +16,8 @@ One decomposition and one rule serve both paths. solve_hermitian and
 spectral_gains work on the spectrum H H^H = U diag(lam) U^H, and accept a
 matrix where lam_min + c > 2 PIVOT_RTOL (||H H^H + c I||_F + c).
 spectral_gains gives the builders' beta H F_data from the spectrum alone.
+Every refusal (that rule, zero or non-finite power, a ridge lost in the rounding
+of H H^H) is a SingularMatrixError whose `index` is the stack's first refused matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 # SchemeMode and LABELS are imported from here too.
 from .config import LABELS, SchemeMode
-from .errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
+from .errors import ConfigurationError, SingularMatrixError
 
 # Relative floor of the rule: lam_min + c must clear twice this times the scale.
 PIVOT_RTOL = 1e-12
@@ -70,10 +72,20 @@ def power_scale(f_raw: np.ndarray, n_tx: int) -> tuple[np.ndarray, float | np.nd
     return per_matrix(beta) * f_raw, beta
 
 
+def _refuse(accepted: bool | np.ndarray, message) -> None:
+    """Raise SingularMatrixError(message(index)) for the first matrix of a stack that
+    `accepted` (one flag per matrix) refuses, with `index` its flattened position."""
+    if not np.all(accepted):
+        index = int(np.argmin(np.reshape(accepted, -1)))
+        error = SingularMatrixError(message(index))
+        error.index = index
+        raise error
+
+
 def _beta(power: float | np.ndarray, n_tx: int) -> float | np.ndarray:
     """sqrt(n_tx / power) of each matrix's raw power, which must be positive and finite."""
-    if not np.all((power > 0.0) & np.isfinite(power)):
-        raise DegeneratePrecoderError("raw precoder has zero (or non-finite) power")
+    _refuse((power > 0.0) & np.isfinite(power),
+            lambda _: "raw precoder has zero (or non-finite) power")
     return np.sqrt(n_tx / power)
 
 
@@ -112,14 +124,10 @@ def _accepted_shift(lam: np.ndarray, vecs: np.ndarray, c: float) -> np.ndarray:
         finite = (np.isfinite(shifted).all(axis=-1)
                   & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
         accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
-    if not accepted.all():
-        index = int(np.argmin(accepted))
-        error = SingularMatrixError(
-            "matrix is singular or indefinite within tolerance: the least eigenvalue is not "
-            f"above 2 x {PIVOT_RTOL:g} x scale {scale[index]:.3e}" if finite[index]
-            else "matrix has non-finite entries")
-        error.index = index
-        raise error
+    _refuse(accepted, lambda i: (
+        "matrix is singular or indefinite within tolerance: the least eigenvalue is not "
+        f"above 2 x {PIVOT_RTOL:g} x scale {scale[i]:.3e}" if finite[i]
+        else "matrix has non-finite entries"))
     return shifted
 
 
@@ -144,7 +152,8 @@ def build_unified(
     inversion. By default the power normalization covers the full matrix,
     trailing columns included; normalize_data_block_only restricts it to
     the data columns. Raises ConfigurationError for a u, m or sigma2 that is
-    not finite and nonnegative.
+    not finite and nonnegative, and SingularMatrixError for the first matrix
+    it refuses.
     """
     mode = SchemeMode(u, m)
     n_tx, c = h.shape[-1], _ridge(mode, sigma2)
@@ -154,8 +163,8 @@ def build_unified(
     f_raw = f_data
     if u > 0:
         # A c lost in the rounding of H H^H leaves I - F_data H rounding noise.
-        if np.any(c <= np.finfo(float).eps * np.linalg.norm(gram, axis=(-2, -1))):
-            raise DegeneratePrecoderError(_BELOW_ROUNDING.format(c=c))
+        _refuse(c > np.finfo(float).eps * np.linalg.norm(gram, axis=(-2, -1)),
+                lambda _: _BELOW_ROUNDING.format(c=c))
         f_raw = np.concatenate([f_data, (u / c) * (np.eye(n_tx) - f_data @ h)], axis=-1)
     _, beta = power_scale(f_data if normalize_data_block_only else f_raw, n_tx)
     return Precoder(F=per_matrix(beta) * f_raw, beta=beta, mode=mode)
@@ -186,17 +195,16 @@ def spectral_gains(spectrum: tuple[np.ndarray, np.ndarray], mode: SchemeMode, si
     With c = u^2 + m*sigma2, H F_data = U diag(lam / (lam + c)) U^H, and the
     raw power is sum lam / (lam + c)^2 for the data block, plus u^2 times
     the squared norm of (H^H H + c I)^{-1} for the trailing block (left out
-    under normalize_data_block_only). Raises as solve_hermitian does for the
-    first matrix that fails the module's rule, as build_unified does for a
-    u > 0 whose c is lost in the rounding of H H^H, and as power_scale does
-    for zero or non-finite power.
+    under normalize_data_block_only). Refuses the first matrix that
+    build_unified would refuse, by the same rules.
     """
     lam, vecs = spectrum
     n_active = lam.shape[-1]
     c = _ridge(mode, sigma2)
     shifted = _accepted_shift(lam, vecs, c)
-    if mode.u > 0 and np.any(c <= np.finfo(float).eps * np.sqrt(np.sum(lam**2, axis=-1))):
-        raise DegeneratePrecoderError(_BELOW_ROUNDING.format(c=c))
+    if mode.u > 0:
+        _refuse(c > np.finfo(float).eps * np.sqrt(np.sum(lam**2, axis=-1)),
+                lambda _: _BELOW_ROUNDING.format(c=c))
     inv = 1.0 / shifted
     power = np.sum(lam * inv**2, axis=-1)
     if mode.u > 0 and not normalize_data_block_only:
@@ -206,9 +214,3 @@ def spectral_gains(spectrum: tuple[np.ndarray, np.ndarray], mode: SchemeMode, si
     weights = _beta(power, n_tx)[..., None] * lam * inv
     # The transpose of U diag(w) U^H, for real w, is conj(U) diag(w) U^T.
     return (vecs.conj() * weights[..., None, :]) @ vecs.swapaxes(-1, -2)
-
-
-def effective_gain(h: np.ndarray, precoder: Precoder) -> np.ndarray:
-    """beta^{-1} H F_data: identity for exact zero-forcing, otherwise the
-    residual-interference map seen at the receivers after gain control."""
-    return (h @ precoder.data_block()) / per_matrix(precoder.beta)

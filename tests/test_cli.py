@@ -366,6 +366,20 @@ class TestMain:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "below the rounding of H H^H" in err
 
+    @pytest.mark.parametrize("line,cell", [
+        ("m = 1e300", "(scheme LMMSEP, 14.0 dB)"),  # zero power: lam / c^2 underflows
+        ("u = 1e-9", "(scheme ULZFP, 14.0 dB)"),  # u^2 lost in the rounding of H H^H
+    ])
+    def test_refused_sweep_names_its_cell(self, line, cell, tmp_path, capsys):
+        config = tmp_path / "refused.cfg"
+        config.write_text(f"{line}\n")
+        argv = ["sweep", "--config", str(config), *TINY_FLAGS, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: precoder build failed at realization 0 ")
+        assert cell in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_error_exit_code(self, monkeypatch, tmp_path):
         from ulpsim.errors import SingularMatrixError
 

@@ -89,11 +89,11 @@ def test_cli_runs_without_numpy(argv, status, tmp_path):
 # and record types, defined in config, are imported into harness and precoder.
 PUBLIC = {
     "channel": ("draw_user_pool", "select_users"),
-    "harness": ("BerRecord", "BerTable", "SimulationConfig", "ber_gap", "run_point",
-                "run_sweep", "snr_db_to_noise_variance"),
+    "harness": ("BerRecord", "BerTable", "SimulationConfig", "run_point", "run_sweep",
+                "snr_db_to_noise_variance"),
     "modem": ("draw_awgn", "qpsk_demodulate", "qpsk_modulate", "transmit_receive"),
     "precoder": ("Precoder", "SchemeMode", "build_conventional", "build_unified",
-                 "effective_gain", "power_scale"),
+                 "power_scale"),
 }
 
 

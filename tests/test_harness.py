@@ -8,7 +8,7 @@ import pytest
 
 from ulpsim import cli, harness, precoder
 from ulpsim.channel import draw_user_pool, select_users
-from ulpsim.errors import ConfigurationError, DegeneratePrecoderError, SingularMatrixError
+from ulpsim.errors import ConfigurationError, SingularMatrixError
 from ulpsim.harness import (
     BerRecord,
     BerTable,
@@ -16,7 +16,6 @@ from ulpsim.harness import (
     _cell_gains,
     _range_errors,
     _spectrum,
-    ber_gap,
     draw_channels,
     run_point,
     run_sweep,
@@ -149,6 +148,11 @@ class TestConfigValidation:
         reference = SimulationConfig(snr_db=(14.0, 20.0), schemes=tuple(schemes))
         assert type(config.snr_db) is tuple and type(config.schemes) is tuple
         assert config == reference and hash(config) == hash(reference)
+
+    @pytest.mark.parametrize("schemes", [("LZFP",), (None,), (SchemeMode(0.0, 0.0), 1.0)])
+    def test_schemes_must_be_scheme_modes(self, schemes):
+        with pytest.raises(ConfigurationError, match="^schemes must hold SchemeMode values, got "):
+            SimulationConfig(schemes=schemes)
 
     @pytest.mark.parametrize("snr_db", [(20.0, 20.0), (20.0, 20.0004)])
     def test_snrs_sharing_a_stream_key(self, snr_db):
@@ -410,6 +414,24 @@ class TestRunPoint:
     def test_invalid_record_rejected(self, label, snr_db, bit_errors, bits_total, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             BerRecord(label, 0.0, 0.0, snr_db, bit_errors, bits_total)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("bit_errors", 2.5, "bit_errors must be an integer, got 2.5"),
+        ("bit_errors", None, "bit_errors must be an integer, got None"),
+        ("bits_total", "10", "bits_total must be an integer, got '10'"),
+        ("snr_db", True, "snr_db must be a real number, got True"),
+    ], ids=["fractional_errors", "no_errors", "string_total", "bool_snr"])
+    def test_record_field_types_rejected(self, field, value, message):
+        values = dict(scheme_label="LZFP", u=0.0, m=0.0, snr_db=14.0, bit_errors=2, bits_total=10)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            BerRecord(**{**values, field: value})
+
+    def test_record_stores_python_values(self):
+        record = BerRecord("LMMSEP", np.float32(0.0), np.int64(1), np.float32(14.0),
+                           np.int64(3), np.uint32(10))
+        assert [type(getattr(record, f.name)) for f in fields(record)] == [
+            str, float, float, float, int, int]
+        assert record == BerRecord("LMMSEP", 0.0, 1.0, 14.0, 3, 10)
 
 
 def reference_errors(config, scheme, snr_db, start, stop):
@@ -748,8 +770,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "draw_channels", fourth_zeroed)
         cfg = replace(TINY, schemes=(SchemeMode.from_label("LMMSEP"),), snr_db=(8.0,))
-        with pytest.raises(DegeneratePrecoderError,
-                           match=r"^raw precoder has zero \(or non-finite\) power$"):
+        message = (r"^precoder build failed at realization 4 \(scheme LMMSEP, 8.0 dB\): "
+                   r"raw precoder has zero \(or non-finite\) power$")
+        with pytest.raises(SingularMatrixError, match=message):
             if lone:
                 run_point(cfg, cfg.schemes[0], 8.0, workers=workers)
             else:
@@ -777,10 +800,6 @@ class TestRunSweep:
 
 
 class TestBerGap:
-    def test_self_gap_zero(self):
-        table = run_sweep(SimulationConfig(realizations=2, frames=1, symbols_per_frame=4))
-        assert ber_gap(table, "LZFP", "LZFP", 14.0) == 0.0
-
     def test_reduction_gap_exactly_zero(self):
         # A unified scheme with u=0 shares streams and reduces to the plain
         # scheme with the same m, so the measured gap is exactly zero.
@@ -792,4 +811,4 @@ class TestBerGap:
     def test_missing_record(self):
         table = run_sweep(SimulationConfig(realizations=2, frames=1, symbols_per_frame=4))
         with pytest.raises(KeyError):
-            ber_gap(table, "LZFP", "LMMSEP", 99.0)
+            table.lookup("LMMSEP", 99.0)
