@@ -3,8 +3,10 @@
 Output files are a pure function of the configuration (seed included), so
 re-runs are byte-identical. Config files are flat key=value lines with `#`
 comments; command-line flags override file values. Only `sweep` and `point`
-import the simulation, and numpy with it, once their configuration is built:
+import the harness, and numpy with it, once their configuration is built:
 `gaps`, `--help`, `--version` and every configuration error run without it.
+Nothing here calls numpy or sets its error state, so a run warns exactly as
+the same library call would.
 """
 
 from __future__ import annotations
@@ -230,16 +232,6 @@ def _config_from_args(args) -> SimulationConfig:
     return build_config(values)
 
 
-@contextlib.contextmanager
-def _numpy_quiet():
-    """numpy's error state for a run. A non-finite precoder ends the run with
-    exit 2 in main; numpy's per-operation warnings would only repeat that."""
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        yield
-
-
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     from . import harness
@@ -247,8 +239,7 @@ def _cmd_sweep(args) -> int:
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the sweep
     try:
-        with _numpy_quiet():
-            table = harness.run_sweep(config, workers=args.workers)
+        table = harness.run_sweep(config, workers=args.workers)
         emit_table(table, out / "results.csv", out / "gaps.csv")
         emit_plot_data(table, out / "plot.csv")
         emit_run_log(table, out / "run_log.jsonl")
@@ -264,9 +255,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_point(args) -> int:
     config = _config_from_args(args)
     from . import harness
-    with _numpy_quiet():
-        record = harness.run_point(config, config.schemes[0], config.snr_db[0],
-                                   workers=args.workers)
+    record = harness.run_point(config, config.schemes[0], config.snr_db[0],
+                               workers=args.workers)
     print(",".join(RESULT_HEADER))
     print(",".join(str(v) for v in result_row(record)))
     return 0

@@ -41,11 +41,13 @@ def snr_key(snr_db: float) -> int:
 
 
 def _integer(name: str, value) -> int:
-    """value as a Python int, by operator.index: a float, a string or None is refused."""
+    """value as a Python int, by operator.index: a bool, a float, a string or None is refused."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(name: str, value) -> float:
@@ -135,11 +137,13 @@ class SimulationConfig:
                     f"{name} must be a sequence, got {getattr(self, name)!r}") from None
         object.__setattr__(self, "snr_db", tuple(_real("snr_db", s) for s in self.snr_db))
         object.__setattr__(self, "snr_offset_db", _real("snr_offset_db", self.snr_offset_db))
-        if self.normalize_data_block_only not in (False, True):
+        flag = self.normalize_data_block_only
+        # A bool or numpy.bool_; a number equal to 0 or 1, such as 1.0, is not a flag.
+        if (isinstance(flag, numbers.Number) and not isinstance(flag, bool)
+                or flag not in (False, True)):
             raise ConfigurationError(f"normalize_data_block_only must be True or False, "
-                                     f"got {self.normalize_data_block_only!r}")
-        object.__setattr__(self, "normalize_data_block_only",
-                           bool(self.normalize_data_block_only))
+                                     f"got {flag!r}")
+        object.__setattr__(self, "normalize_data_block_only", bool(flag))
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.active_users > self.pool_users:
@@ -255,12 +259,13 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
 
 
 def _snr_stream_key(snr_db: float, offset_db: float) -> int:
-    """snr_key of a finite SNR whose noise variance is finite (0 is the noiseless limit)."""
+    """snr_key of a finite SNR whose largest noise draw, -N0 log1p(-u1) at u1 = 1 - 2**-53
+    or 53 ln2 N0, is finite (a noise variance N0 of 0 is the noiseless limit)."""
     try:
-        if (math.isfinite(snr_db + offset_db)
-                and snr_db_to_noise_variance(snr_db + offset_db) < math.inf):
+        if math.isfinite(snr_db + offset_db) and (
+                snr_db_to_noise_variance(snr_db + offset_db) * (53 * math.log(2)) < math.inf):
             return snr_key(snr_db)
     except OverflowError:
         pass
-    raise ConfigurationError(
-        f"SNR {snr_db} dB at offset {offset_db} dB must be finite, with a finite noise variance")
+    raise ConfigurationError(f"SNR {snr_db} dB at offset {offset_db} dB must be finite, "
+                             f"with a noise variance N0 whose largest draw 53 ln2 N0 is finite")

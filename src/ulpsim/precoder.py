@@ -83,9 +83,13 @@ def _refuse(accepted: bool | np.ndarray, message) -> None:
 
 
 def _beta(power: float | np.ndarray, n_tx: int) -> float | np.ndarray:
-    """sqrt(n_tx / power) of each matrix's raw power, which must be positive and finite."""
-    _refuse((power > 0.0) & np.isfinite(power),
-            lambda _: "raw precoder has zero (or non-finite) power")
+    """sqrt(n_tx / power) of each matrix's raw power, which must be finite and above
+    n_tx / (the largest float), so that n_tx / power is finite."""
+    floor = n_tx / np.finfo(float).max
+    _refuse((power > floor) & np.isfinite(power), lambda i: (
+        f"raw precoder power {np.reshape(power, -1)[i]:.3g} is so small that n_tx / power "
+        "overflows" if 0 < np.reshape(power, -1)[i] <= floor
+        else "raw precoder has zero (or non-finite) power"))
     return np.sqrt(n_tx / power)
 
 

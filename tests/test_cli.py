@@ -165,6 +165,10 @@ BAD_INPUTS = [
      "seed must be in [0, 2**64), got -1"),
     (["sweep", "--seed", "18446744073709551658"],
      "seed must be in [0, 2**64), got 18446744073709551658"),
+    # Below about -3066.9 dB the largest noise draw, 53 ln2 N0, overflows.
+    (["point", "--scheme", "LZFP", "--point-snr", "-3075"], "noise variance"),
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--snr-offset-db", "-3095"],
+     "noise variance"),
 ]
 
 
@@ -358,6 +362,24 @@ class TestMain:
         assert captured.err == ""
         header, row = captured.out.splitlines()
         assert row.startswith("20.0,ULMMSEP,1e+150,1.0,")
+
+    def test_snr_above_the_noise_draw_bound_runs(self, capsys):
+        # N0 = 4.8e306, whose largest noise draw 53 ln2 N0 is finite.
+        flags = ["point", "--scheme", "LZFP", "--point-snr", "-3066.8"]
+        assert cli.main([*flags, *TINY_FLAGS]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].startswith("-3066.8,LZFP,")
+
+    def test_power_too_small_to_normalize_exits_2_with_one_line(self, capsys):
+        # The ridge m N0 = 1e157 leaves a raw power near 1e-313, whose
+        # n_tx / power would overflow.
+        flags = ["point", "--scheme", "LMMSEP", "--m", "1e300", "--point-snr", "1430"]
+        assert cli.main([*flags, *TINY_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: precoder build failed at realization 0 "
+                              "(scheme LMMSEP, 1430.0 dB): raw precoder power ")
+        assert "so small that n_tx / power overflows" in err and err.count("\n") == 1
 
     def test_vanishing_u_exits_2_with_one_line(self, capsys):
         flags = ["point", "--scheme", "ULZFP", "--u", "1e-9", "--point-snr", "20"]

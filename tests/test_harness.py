@@ -89,7 +89,10 @@ class TestConfigValidation:
         (dict(realizations=np.int64(4), seed=np.uint64(2**64 - 1), pool_users=np.int8(9),
               tx_antennas=np.int32(8), active_users=np.int16(8), frames=np.uint8(2),
               symbols_per_frame=np.intp(3)), None),
-    ], ids=["realizations", "frames", "seed", "float_geometry", "string", "numpy_integers"])
+        # A bool is not a count: True would run 1 realization, False seed 0.
+        (dict(realizations=True), "realizations"), (dict(seed=False), "seed"),
+    ], ids=["realizations", "frames", "seed", "float_geometry", "string", "numpy_integers",
+            "bool_realizations", "bool_seed"])
     def test_counts_and_seed_are_integers(self, values, refused):
         if refused:
             with pytest.raises(ConfigurationError, match=re.escape(
@@ -135,8 +138,8 @@ class TestConfigValidation:
             SimulationConfig(**values)
 
     # "no" would be read as true, normalizing over the data block alone
-    # while the record says otherwise.
-    @pytest.mark.parametrize("flag", ["no", "False", 2, None, np.nan])
+    # while the record says otherwise. A number equal to 0 or 1 is no flag either.
+    @pytest.mark.parametrize("flag", ["no", "False", 2, None, np.nan, 1, 1.0, 0.0])
     def test_flag_must_equal_true_or_false(self, flag):
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"normalize_data_block_only must be True or False, got {flag!r}")):
@@ -420,7 +423,8 @@ class TestRunPoint:
         ("bit_errors", None, "bit_errors must be an integer, got None"),
         ("bits_total", "10", "bits_total must be an integer, got '10'"),
         ("snr_db", True, "snr_db must be a real number, got True"),
-    ], ids=["fractional_errors", "no_errors", "string_total", "bool_snr"])
+        ("bit_errors", True, "bit_errors must be an integer, got True"),
+    ], ids=["fractional_errors", "no_errors", "string_total", "bool_snr", "bool_errors"])
     def test_record_field_types_rejected(self, field, value, message):
         values = dict(scheme_label="LZFP", u=0.0, m=0.0, snr_db=14.0, bit_errors=2, bits_total=10)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):

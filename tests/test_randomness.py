@@ -1,11 +1,15 @@
 """Raw-word streams of stream layout 3 against numpy's own seeding and
 Generator decoders, and the Box-Muller transform."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from ulpsim.channel import draw_user_pool
+from ulpsim.config import SimulationConfig, snr_db_to_noise_variance
+from ulpsim.errors import ConfigurationError
 from ulpsim.modem import draw_awgn, qpsk_modulate
 from ulpsim.randomness import (
     box_muller,
@@ -192,6 +196,17 @@ def test_box_muller_radius_keeps_float64_tail():
     assert np.allclose(np.abs(z), radius, rtol=1e-6, atol=0.0)
     # A zero phase has cos 1 and sin 0 in float32 too, so the radius is exact.
     assert z[0] == radius[0]
+
+
+def test_largest_noise_draw_is_finite_down_to_the_snr_bound():
+    # SimulationConfig takes the largest draw as 53 ln2 N0: exactly numpy's
+    # -log1p(-u1) at the largest uniform, which the last word gives.
+    u1 = uniforms(np.array([MASK64], dtype=np.uint64))
+    assert -np.log1p(-u1[0]) == 53 * math.log(2)
+    SimulationConfig(snr_db=(-3066.8,))
+    assert np.isfinite(box_muller(u1, np.zeros(1), snr_db_to_noise_variance(-3066.8))).all()
+    with pytest.raises(ConfigurationError, match="noise variance"):
+        SimulationConfig(snr_db=(-3066.9,))
 
 
 def test_box_muller_is_cn_distributed():
