@@ -164,9 +164,14 @@ class SimulationConfig:
         if not self.snr_db:
             raise ConfigurationError("snr_db list is empty")
         keys = [_snr_stream_key(s, self.snr_offset_db) for s in self.snr_db]
-        if len(set(keys)) != len(keys):
-            raise ConfigurationError(
-                f"snr_db values must differ by at least 1 milli-dB, got {self.snr_db}")
+        first = {}
+        for snr, key in zip(self.snr_db, keys):
+            if key in first:
+                raise ConfigurationError(
+                    f"snr_db values must differ by at least 1 milli-dB after rounding: "
+                    f"{first[key]} and {snr} share the key round(1000 * snr_db) = {key}, "
+                    "with ties rounded half to even")
+            first[key] = snr
         if not self.schemes:
             raise ConfigurationError("schemes list is empty")
         for scheme in self.schemes:

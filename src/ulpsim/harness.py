@@ -24,7 +24,7 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 # The config and record types are imported from here too.
-from .config import (BerRecord, BerTable, SimulationConfig, _snr_stream_key,
+from .config import (BerRecord, BerTable, SimulationConfig, _integer, _snr_stream_key,
                      snr_db_to_noise_variance)
 from .errors import ConfigurationError, SingularMatrixError
 from .randomness import draw_frame, draw_pools, frame_buffer, stream_key
@@ -114,6 +114,14 @@ def _range_errors(config: SimulationConfig, snr_db: float, start: int,
     return errors
 
 
+def _worker_count(workers) -> int:
+    """workers as an int >= 1, by the config's integer rule (a bool or a float is refused)."""
+    workers = _integer("workers", workers)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
               workers: int = 1, *, gains: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
@@ -123,8 +131,7 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
     process. Each worker chunk gets its slice.
     """
     _snr_stream_key(snr_db, config.snr_offset_db)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = _worker_count(workers)
     n = config.realizations
     shape = (n, config.active_users, config.active_users)
     if gains is None:
@@ -172,6 +179,7 @@ def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
     """
     from . import __version__
 
+    _worker_count(workers)  # before the first SNR's channels are drawn
     records = []
     for snr_db in config.snr_db:
         spectrum = _spectrum(draw_channels(config, snr_db))

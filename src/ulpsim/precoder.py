@@ -13,15 +13,16 @@ without them. The builders check u, m and sigma2 at entry, so c >= 0, and
 solve_hermitian solves or rejects their Gram stack whole.
 
 One decomposition and one rule serve both paths. solve_hermitian and
-spectral_gains work on the spectrum H H^H = U diag(lam) U^H, and accept a
-matrix where lam_min + c > 2 PIVOT_RTOL (||H H^H + c I||_F + c).
-spectral_gains gives the builders' beta H F_data from the spectrum alone.
+spectral_gains work on the spectrum H H^H = U diag(lam) U^H, and accept a matrix
+where lam_min + c > 2 PIVOT_RTOL (||H H^H + c I||_F + c), taken on a spectrum scaled
+by a power of two. spectral_gains gives the builders' beta H F_data from it alone.
 Every refusal (that rule, zero or non-finite power, a ridge lost in the rounding
 of H H^H) is a SingularMatrixError whose `index` is the stack's first refused matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,22 +118,23 @@ def _accepted_shift(lam: np.ndarray, vecs: np.ndarray, c: float) -> np.ndarray:
     """lam + c of a stack's spectrum (lam, vecs) of A, once the module's rule accepts each matrix.
 
     A matrix passes where its spectrum and c are finite and lam_min + c >
-    2 PIVOT_RTOL (||A + c I||_F + c). Otherwise SingularMatrixError names the
-    first that does not, with `index` set to its position in the flattened
-    stack, by its floor or as non-finite.
+    2 PIVOT_RTOL (||A + c I||_F + c), taken on lam + c and c times 2**-e, with
+    2**e above them all: exact, so no norm overflows (Blue, ACM TOMS 1978).
+    Otherwise SingularMatrixError names the first that does not, with `index`
+    set to its position in the flattened stack, by its floor or as non-finite.
     """
-    # hypot keeps a huge c's norm finite; a non-finite c or spectrum is named below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = lam + c
-        scale = (np.hypot.reduce(shifted, axis=-1) + c).reshape(-1)
-        finite = (np.isfinite(shifted).all(axis=-1)
-                  & np.isfinite(vecs).all(axis=(-2, -1))).reshape(-1)
-        accepted = finite & (np.min(shifted, axis=-1).reshape(-1) > 2 * PIVOT_RTOL * scale)
+    shifted = np.reshape(lam + c, (-1, lam.shape[-1]))
+    peak = np.max(np.abs(shifted), axis=-1)  # NaN or inf unless every lam + c is finite
+    finite = np.isfinite(peak) & np.isfinite(vecs).all(axis=(-2, -1)).reshape(-1)
+    _, e = np.frexp(np.maximum(peak, c))
+    scaled = np.ldexp(shifted, -e[:, None])
+    floor = 2 * PIVOT_RTOL * (np.hypot.reduce(scaled, axis=-1) + np.ldexp(c, -e))
+    accepted = finite & (np.min(scaled, axis=-1) > floor)
     _refuse(accepted, lambda i: (
         "matrix is singular or indefinite within tolerance: the least eigenvalue is not "
-        f"above 2 x {PIVOT_RTOL:g} x scale {scale[i]:.3e}" if finite[i]
+        f"above 2 x {PIVOT_RTOL:g} x scale {math.hypot(*shifted[i]) + c:.3e}" if finite[i]
         else "matrix has non-finite entries"))
-    return shifted
+    return shifted.reshape(lam.shape)
 
 
 def build_conventional(h: np.ndarray, m: float, sigma2: float) -> Precoder:

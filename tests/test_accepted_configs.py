@@ -2,13 +2,16 @@
 
 A drawn config is either refused when built (ConfigurationError), or its
 lone run_point and its two-SNR run_sweep run with every warning an error:
-they return records, or raise a SingularMatrixError that names its cell.
-The weights reach u = 1e150 and m = 1e300, and the effective SNR spans
--3082.5 to 4000 dB, past the noise-draw bound at about -3066.9 dB. The
-examples are derandomized, so the suite draws the same cases on every run;
-the two explicit ones are inputs that once warned, which the draws seldom
-reach: a noise draw that overflows, and an LMMSEP ridge m N0 near 1e157
-whose raw power is too small for n_tx / power to be finite.
+they return records, or raise a SingularMatrixError that names its cell
+(and, where the precoder rule refused, a finite scale). The weights reach
+u = 1.3e154, whose u^2 is finite, and m = 1e300, and the effective SNR
+spans -3082.5 to 4000 dB, past the noise-draw bound at about -3066.9 dB.
+The examples are derandomized, so the suite draws the same cases on every
+run; the three explicit ones are inputs that once warned or were refused
+wrongly, which the draws seldom reach: a noise draw that overflows, an
+LMMSEP ridge m N0 near 1e157 whose raw power is too small for n_tx / power
+to be finite, and a ULZFP u = 1e154 whose precoder rule took a norm near
+sqrt(8) u^2, past the largest float.
 """
 
 import re
@@ -28,7 +31,8 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=300, database=
 @PROPERTY
 @example(label="LZFP", u=0.0, m=0.0, effective_snr=-3075.0, offset=-1.0)
 @example(label="LMMSEP", u=1.0, m=1e300, effective_snr=1430.0, offset=0.0)
-@given(label=st.sampled_from(LABELS), u=st.floats(0.0, 1e150), m=st.floats(0.0, 1e300),
+@example(label="ULZFP", u=1e154, m=0.0, effective_snr=20.0, offset=0.0)
+@given(label=st.sampled_from(LABELS), u=st.floats(0.0, 1.3e154), m=st.floats(0.0, 1e300),
        effective_snr=st.floats(-3082.5, 4000.0), offset=st.floats(-100.0, 100.0))
 def test_accepted_config_runs_without_warnings(label, u, m, effective_snr, offset):
     snr_db = effective_snr - offset
@@ -47,6 +51,8 @@ def test_accepted_config_runs_without_warnings(label, u, m, effective_snr, offse
             table = run_sweep(config)
         except SingularMatrixError as exc:
             assert re.match(rf"precoder build failed at realization \d+ ({cells})", str(exc))
+            # A refusal at an infinite scale blames the matrix for the rule's own overflow.
+            assert "scale inf" not in str(exc)
             return
     assert record.scheme_label == label
     assert [r.snr_db for r in table.records] == list(config.snr_db)

@@ -362,6 +362,17 @@ class TestMain:
         assert captured.err == ""
         header, row = captured.out.splitlines()
         assert row.startswith("20.0,ULMMSEP,1e+150,1.0,")
+        # Up to u = 1.3e154, whose c = u^2 = 1.69e308 is finite, the spectral
+        # rule's norm of about sqrt(8) c would overflow unless it is scaled.
+        for scheme, m in (("ULZFP", "0.0"), ("ULMMSEP", "1.0")):
+            for u in ("1e154", "1.3e154"):
+                flags = ["point", "--scheme", scheme, "--u", u, "--point-snr", "20"]
+                assert cli.main([*flags, *TINY_FLAGS]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                row = dict(zip(*csv.reader(captured.out.splitlines())))
+                assert (row["scheme"], float(row["u"]), row["m"]) == (scheme, float(u), m)
+                assert abs(int(row["bit_errors"]) / int(row["bits_total"]) - 0.5) < 0.2
 
     def test_snr_above_the_noise_draw_bound_runs(self, capsys):
         # N0 = 4.8e306, whose largest noise draw 53 ln2 N0 is finite.

@@ -162,6 +162,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="milli-dB"):
             SimulationConfig(snr_db=snr_db)
 
+    def test_colliding_snrs_are_named_with_their_key(self):
+        # Keys are round(1000 * snr_db), ties half to even: 1.5 and 2.5 both
+        # round to 2, while 0.5 and 1.4, 0.9 milli-dB apart, round to 0 and 1.
+        message = ("snr_db values must differ by at least 1 milli-dB after rounding: 0.0015 "
+                   "and 0.0025 share the key round(1000 * snr_db) = 2, with ties rounded "
+                   "half to even")
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(snr_db=(0.0015, 0.0025))
+        assert SimulationConfig(snr_db=(0.0005, 0.0014)).snr_db == (0.0005, 0.0014)
+
     def test_replace_is_checked(self):
         with pytest.raises(ConfigurationError, match="milli-dB"):
             replace(SimulationConfig(), snr_db=(20.0, 20.0004))
@@ -388,6 +398,25 @@ class TestRunPoint:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ConfigurationError, match="workers"):
             run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.0, "2", None, True])
+    def test_workers_must_be_an_integer(self, workers):
+        # The config's integer rule: True is not one worker, nor 2.0 two.
+        with pytest.raises(ConfigurationError, match="^workers must be an integer, got "):
+            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, workers=workers)
+        with pytest.raises(ConfigurationError, match="^workers must be an integer, got "):
+            run_sweep(TINY, workers=workers)
+
+    def test_numpy_integer_workers_run(self):
+        record = run_point(TINY, SchemeMode.from_label("LZFP"), 10.0, workers=np.int64(2))
+        assert record == run_point(TINY, SchemeMode.from_label("LZFP"), 10.0)
+
+    def test_sweep_checks_workers_before_it_draws(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(harness, "draw_channels", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigurationError, match="^workers must be >= 1, got 0$"):
+            run_sweep(TINY, workers=0)
+        assert drawn == []
 
     def test_point_snr_checked(self):
         with pytest.raises(ConfigurationError, match="noise variance"):

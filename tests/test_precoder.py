@@ -403,7 +403,7 @@ class TestSpectralGains:
     # At a huge u, c = u^2 leaves the data block's raw power to underflow in
     # both paths, and the trailing block's power to set beta.
     @pytest.mark.parametrize("label", ["ULZFP", "ULMMSEP"])
-    @pytest.mark.parametrize("u", [1e100, 1e150])
+    @pytest.mark.parametrize("u", [1e100, 1e150, 1e154])
     def test_huge_u_equals_build(self, label, u):
         h, mode = paper_channels(), SchemeMode.from_label(label, u=u)
         want = build_gains(h, mode, self.SIGMA2)
@@ -445,6 +445,35 @@ class TestSpectralGains:
             assert built == rejection(lambda: spectral_gains(h, mode, 0.0))
             first = int(np.argmax(fails)) if fails.any() else None
             assert (None if built is None else built[0]) == first
+
+    # 300 paper-geometry matrices, the near-floor and singular ones of
+    # test_build_rejects_as_spectral_gains_does, and a band within 5% of the
+    # floor, at ridges from none to far above it.
+    @pytest.mark.parametrize("c", [0.0, 1e-14, 0.04, 1e3])
+    def test_rule_decides_as_the_direct_formula(self, c):
+        # The rule scales each spectrum by a power of two, which is exact, so
+        # wherever the unscaled formula is finite it decides every matrix alike.
+        ratios = (*np.logspace(-14, -9, 11), 1e-15, *np.linspace(1.9e-12, 2.1e-12, 21))
+        near = [near_singular(h, ratio) for ratio in ratios
+                for h in paper_channels(2, seed=300)]
+        lam, vecs = gram_spectrum(np.concatenate([paper_channels(), np.stack(near)]))
+        scale = np.hypot.reduce(lam + c, axis=-1) + c
+        assert np.all(np.isfinite(scale))
+        direct = lam[:, 0] + c > 2 * precoder.PIVOT_RTOL * scale
+        # The ridges from 0.04 up clear every floor; the smaller ones refuse some.
+        assert direct.all() == (c >= 0.04)
+        for i, want in enumerate(direct):
+            got = rejection(lambda: precoder._accepted_shift(lam[i:i + 1], vecs[i:i + 1], c))
+            assert (got is None) == want
+        got = rejection(lambda: precoder._accepted_shift(lam, vecs, c))
+        assert (None if got is None else got[0]) == (None if direct.all()
+                                                     else int(np.argmin(direct)))
+
+    def test_refusal_with_an_overflowing_scale_is_named_without_a_warning(self):
+        # ||A||_F = sqrt(7) 1.7e308 overflows; the scaled rule and the message do not warn.
+        a = np.diag([1.7e308] * 7 + [0.0])
+        with pytest.raises(SingularMatrixError, match="least eigenvalue .* scale inf$"):
+            precoder.solve_hermitian(a, np.ones((8, 1)))
 
     def test_singular_matrix_is_named_by_index(self):
         # A rank-deficient matrix fails the rule at c = 0; a ridge that
