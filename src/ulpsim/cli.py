@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import LABELS, STREAM_LAYOUT, BerRecord, BerTable, SchemeMode, SimulationConfig
+from .config import (LABELS, STREAM_LAYOUT, BerRecord, BerTable, SchemeMode, SimulationConfig,
+                     _worker_count)
 from .errors import ConfigurationError
 
 # Table-style pairwise comparisons emitted per SNR: the conventional pair
@@ -48,13 +49,6 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 def _labels(raw: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
-
-
-def _workers(raw: str) -> int:
-    workers = int(raw)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
 
 
 def _one(read):
@@ -101,10 +95,9 @@ def read_config_file(path: str | Path) -> dict:
 
 def build_config(values: dict) -> SimulationConfig:
     """SimulationConfig from parsed key=value pairs, defaults for the rest."""
-    u = float(values.pop("u", 1.0))
-    m = float(values.pop("m", 1.0))
+    weights = {w: float(values.pop(w)) for w in ("u", "m") if w in values}
     labels = values.pop("schemes", LABELS)
-    schemes = tuple(SchemeMode.from_label(lbl, u=u, m=m) for lbl in labels)
+    schemes = tuple(SchemeMode.from_label(lbl, **weights) for lbl in labels)
     return SimulationConfig(schemes=schemes, **values)
 
 
@@ -226,6 +219,7 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
 
 def _config_from_args(args) -> SimulationConfig:
     """The config file's values, each replaced by the flag that sets its key."""
+    _worker_count(args.workers)  # refused before the config file is read or numpy loads
     values = read_config_file(args.config) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
                   if key in KNOWN_KEYS and value is not None)
@@ -297,7 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
                          type=KNOWN_KEYS["symbols_per_frame"], help="symbol vectors per frame")
         cmd.add_argument("--snr-offset-db", type=KNOWN_KEYS["snr_offset_db"],
                          help="global SNR calibration offset")
-        cmd.add_argument("--workers", type=_workers, default=1, help="parallel workers")
+        cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
 
     sweep.add_argument("--snr", dest="snr_db", type=KNOWN_KEYS["snr_db"],
                        help="comma-separated SNR list in dB")

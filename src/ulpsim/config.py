@@ -50,6 +50,14 @@ def _integer(name: str, value) -> int:
     raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+def _worker_count(workers) -> int:
+    """workers as an int >= 1, by the integer rule (a bool or a float is refused)."""
+    workers = _integer("workers", workers)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _real(name: str, value) -> float:
     """value as a Python float; a bool, a string or a number no float holds is refused."""
     if type(value) is float:  # the common case, spared the slower ABC check below

@@ -24,7 +24,7 @@ import numpy as np
 from . import channel as chan
 from . import modem, precoder
 # The config and record types are imported from here too.
-from .config import (BerRecord, BerTable, SimulationConfig, _integer, _snr_stream_key,
+from .config import (BerRecord, BerTable, SimulationConfig, _snr_stream_key, _worker_count,
                      snr_db_to_noise_variance)
 from .errors import ConfigurationError, SingularMatrixError
 from .randomness import draw_frame, draw_pools, frame_buffer, stream_key
@@ -114,14 +114,6 @@ def _range_errors(config: SimulationConfig, snr_db: float, start: int,
     return errors
 
 
-def _worker_count(workers) -> int:
-    """workers as an int >= 1, by the config's integer rule (a bool or a float is refused)."""
-    workers = _integer("workers", workers)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
               workers: int = 1, *, gains: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
@@ -139,6 +131,11 @@ def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: flo
     elif np.shape(gains) != shape:
         raise ConfigurationError(f"gains must have shape {shape} (realizations, "
                                  f"active_users, active_users), got {np.shape(gains)}")
+    else:
+        finite = np.isfinite(gains).all(axis=(-2, -1))
+        if not finite.all():
+            raise ConfigurationError(f"gains of realization {int(np.argmin(finite))} "
+                                     "hold a non-finite entry")
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)

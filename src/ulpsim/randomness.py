@@ -131,9 +131,8 @@ def box_muller(u1: np.ndarray, u2: np.ndarray, variance: float) -> np.ndarray:
     keeps its exact tail. The phase 2*pi*u2 is taken in float64 and cast to
     float32, whose SIMD cos and sin cost a fraction of float64's, and they
     scale the radius into the real and imaginary parts of one complex128 array.
+    Zero variance is the transform's own limit: every sample is then +-0.
     """
-    if variance == 0.0:
-        return np.zeros(u1.shape, dtype=np.complex128)
     z = np.empty(u1.shape, dtype=np.complex128)
     # Radius from u1 (log of 1-u1 avoids log(0)), phase from u2.
     r = np.sqrt(-variance * np.log1p(-u1))

@@ -10,6 +10,7 @@ import pytest
 from ulpsim import cli, harness
 from ulpsim.errors import ConfigurationError
 from ulpsim.harness import SimulationConfig, run_sweep
+from ulpsim.precoder import SchemeMode
 from ulpsim.randomness import STREAM_LAYOUT
 
 TINY_FLAGS = ["--realizations", "3", "--frames", "1", "--symbols", "5", "--seed", "42"]
@@ -56,6 +57,11 @@ class TestConfigFile:
         path.write_bytes(b"\xef\xbb\xbfrealizations = 2\nframes = 1\n")
         config = cli.build_config(cli.read_config_file(path))
         assert (config.realizations, config.frames) == (2, 1)
+
+    def test_unset_weights_take_the_scheme_default(self):
+        assert cli.build_config({}).schemes == SimulationConfig().schemes
+        only_u = cli.build_config({"u": 0.5, "schemes": ("ULMMSEP",)}).schemes
+        assert only_u == (SchemeMode.from_label("ULMMSEP", u=0.5),)
 
     def test_dimension_constraint_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -169,6 +175,7 @@ BAD_INPUTS = [
     (["point", "--scheme", "LZFP", "--point-snr", "-3075"], "noise variance"),
     (["point", "--scheme", "LZFP", "--point-snr", "20", "--snr-offset-db", "-3095"],
      "noise variance"),
+    (["sweep", "--workers", "x"], "--workers: invalid int value: 'x'"),
 ]
 
 

@@ -72,7 +72,9 @@ def test_setup_loads_no_numpy(code, tmp_path):
     (["sweep", "--realizations", "0", "--out", "{out}"], 1),
     (["point", "--scheme", "DPC", "--point-snr", "20"], 1),
     (["sweep", "--config", "{table}"], 1), (["sweep", "--no-such-flag"], 1),
-], ids=["version", "help", "gaps", "bad_value", "bad_scheme", "bad_config_file", "usage"])
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--workers", "0"], 1),
+], ids=["version", "help", "gaps", "bad_value", "bad_scheme", "bad_config_file", "usage",
+        "bad_workers"])
 def test_cli_runs_without_numpy(argv, status, tmp_path):
     table = tmp_path / "results.csv"
     table.write_text("snr_db,scheme,u,m,bit_errors,bits_total\n"

@@ -655,6 +655,18 @@ class TestDrawChannels:
             run_point(TINY, SchemeMode.from_label("LMMSEP"), 10.0,
                       gains=np.zeros(shape, dtype=np.complex128))
 
+    @pytest.mark.parametrize("bad,at", [
+        (complex(np.nan, 0.0), 0), (complex(np.inf, 0.0), 3), (complex(0.0, -np.inf), 5),
+        (complex(np.nan, np.nan), 2),
+    ], ids=["nan", "inf", "imag_neg_inf", "nan_nan"])
+    def test_non_finite_gains_rejected(self, bad, at):
+        # A NaN y decides bit 0, so such gains would give a record with no warning.
+        gains = np.repeat(np.eye(8, dtype=np.complex128)[None], 6, axis=0)
+        gains[at:, 2, 5] = bad
+        with pytest.raises(ConfigurationError,
+                           match=f"^gains of realization {at} hold a non-finite entry$"):
+            run_point(TINY, SchemeMode.from_label("LZFP"), 20.0, gains=gains)
+
 
 class TestRunSweep:
     def test_cardinality_and_ordering(self):
@@ -832,7 +844,7 @@ class TestRunSweep:
                 run_sweep(cfg, workers=workers)
 
 
-class TestBerGap:
+class TestReductionAndLookup:
     def test_reduction_gap_exactly_zero(self):
         # A unified scheme with u=0 shares streams and reduces to the plain
         # scheme with the same m, so the measured gap is exactly zero.

@@ -132,7 +132,7 @@ class TestTransmitReceive:
         without = transmit_receive(ch, p, x, np.zeros(8))
         assert np.array_equal(with_noise, without + z / p.beta)
 
-    def test_mmse_residual_matches_effective_gain(self):
+    def test_noiseless_mmse_residual_equals_gain_minus_identity(self):
         ch = random_channel(7)
         p = build_conventional(ch, m=1.0, sigma2=0.3)
         rng = np.random.default_rng(3)
