@@ -115,38 +115,31 @@ def _range_errors(config: SimulationConfig, snr_db: float, start: int,
 
 
 def run_point(config: SimulationConfig, scheme: precoder.SchemeMode, snr_db: float,
-              workers: int = 1, *, gains: np.ndarray | None = None) -> BerRecord:
+              workers: int = 1, *, _gains: np.ndarray | None = None) -> BerRecord:
     """Monte Carlo BER for one (scheme, SNR) cell; exact integer error counts.
 
-    gains are the cell's _cell_gains, which run_sweep computes from its
+    _gains is run_sweep's hand-over of the _cell_gains it computed from the
     SNR's shared spectrum; a lone cell computes them here, in the calling
     process. Each worker chunk gets its slice.
     """
+    if not isinstance(scheme, precoder.SchemeMode):
+        raise ConfigurationError(f"scheme must be a SchemeMode, got {scheme!r}")
     _snr_stream_key(snr_db, config.snr_offset_db)
     workers = _worker_count(workers)
     n = config.realizations
-    shape = (n, config.active_users, config.active_users)
-    if gains is None:
-        gains = _cell_gains(config, scheme, snr_db, _spectrum(draw_channels(config, snr_db)))
-    elif np.shape(gains) != shape:
-        raise ConfigurationError(f"gains must have shape {shape} (realizations, "
-                                 f"active_users, active_users), got {np.shape(gains)}")
-    else:
-        finite = np.isfinite(gains).all(axis=(-2, -1))
-        if not finite.all():
-            raise ConfigurationError(f"gains of realization {int(np.argmin(finite))} "
-                                     "hold a non-finite entry")
+    if _gains is None:
+        _gains = _cell_gains(config, scheme, snr_db, _spectrum(draw_channels(config, snr_db)))
     # One chunk per requested worker, none empty. A pool starts all its
     # processes at the first submit, so it holds no more than the CPUs.
     workers = min(workers, n)
     if workers == 1:
-        errors = _range_errors(config, snr_db, 0, gains)
+        errors = _range_errors(config, snr_db, 0, _gains)
     else:
         # Read through the module, whose __getattr__ imports it on first use.
         pool_type = sys.modules[__name__].ProcessPoolExecutor
         bounds = np.linspace(0, n, workers + 1, dtype=int)
         with pool_type(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            chunks = [pool.submit(_range_errors, config, snr_db, int(a), gains[a:b])
+            chunks = [pool.submit(_range_errors, config, snr_db, int(a), _gains[a:b])
                       for a, b in zip(bounds[:-1], bounds[1:])]
             errors = sum(chunk.result() for chunk in chunks)
     return BerRecord(
@@ -182,5 +175,5 @@ def run_sweep(config: SimulationConfig, workers: int = 1) -> BerTable:
         spectrum = _spectrum(draw_channels(config, snr_db))
         for scheme in sorted(config.schemes, key=lambda s: s.label):
             gains = _cell_gains(config, scheme, snr_db, spectrum)
-            records.append(run_point(config, scheme, snr_db, workers=workers, gains=gains))
+            records.append(run_point(config, scheme, snr_db, workers=workers, _gains=gains))
     return BerTable(records=tuple(records), config=config, version=__version__)

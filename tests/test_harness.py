@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import tracemalloc
@@ -418,6 +419,23 @@ class TestRunPoint:
             run_sweep(TINY, workers=0)
         assert drawn == []
 
+    @pytest.mark.parametrize("scheme", ["LZFP", None, (0.0, 1.0)])
+    def test_scheme_must_be_a_scheme_mode(self, monkeypatch, scheme):
+        drawn = []
+        monkeypatch.setattr(harness, "draw_channels", lambda *args: drawn.append(args))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"scheme must be a SchemeMode, got {scheme!r}")):
+            run_point(TINY, scheme, 20.0)
+        assert drawn == []
+
+    def test_gains_are_not_a_public_keyword(self):
+        # A caller's gains would be counted under the scheme's label whatever
+        # scheme they came from; only run_sweep hands a cell its own.
+        assert "gains" not in inspect.signature(run_point).parameters
+        gains = gains_of(TINY, SchemeMode.from_label("LMMSEP"), 20.0, 0, TINY.realizations)
+        with pytest.raises(TypeError, match="gains"):
+            run_point(TINY, SchemeMode.from_label("LZFP"), 20.0, gains=gains)
+
     def test_point_snr_checked(self):
         with pytest.raises(ConfigurationError, match="noise variance"):
             run_point(TINY, SchemeMode.from_label("LZFP"), float("nan"))
@@ -615,7 +633,7 @@ class TestDrawChannels:
         # As in a sweep: gains from the spectrum of the SNR's shared channels.
         lone = run_point(config, scheme, snr_db, workers=workers)
         shared = run_point(config, scheme, snr_db, workers=workers,
-                           gains=gains_of(config, scheme, snr_db, 0, config.realizations))
+                           _gains=gains_of(config, scheme, snr_db, 0, config.realizations))
         assert shared == lone
         assert lone.bit_errors == reference_errors(config, scheme, snr_db, 0,
                                                    config.realizations) > 0
@@ -636,36 +654,6 @@ class TestDrawChannels:
 
         working_bytes(1)  # the first draw in a process also fills one-time caches
         assert working_bytes(2000) < 2 * working_bytes(harness.BLOCK_ENTRIES // 160)
-
-    @pytest.mark.parametrize("shape", [(5, 8, 8), (7, 8, 8), (6, 8, 7), (6, 64), (8, 8)])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"gains must have shape (6, 8, 8) "
-                                           f"(realizations, active_users, active_users), "
-                                           f"got {shape}")):
-            run_point(TINY, SchemeMode.from_label("LZFP"), 10.0,
-                      gains=np.zeros(shape, dtype=np.complex128))
-
-    @pytest.mark.parametrize("shape", [(5, 8, 8), (6, 8, 7), (8, 8)])
-    def test_wrong_gains_shape_rejected(self, shape):
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"gains must have shape (6, 8, 8) "
-                                           f"(realizations, active_users, active_users), "
-                                           f"got {shape}")):
-            run_point(TINY, SchemeMode.from_label("LMMSEP"), 10.0,
-                      gains=np.zeros(shape, dtype=np.complex128))
-
-    @pytest.mark.parametrize("bad,at", [
-        (complex(np.nan, 0.0), 0), (complex(np.inf, 0.0), 3), (complex(0.0, -np.inf), 5),
-        (complex(np.nan, np.nan), 2),
-    ], ids=["nan", "inf", "imag_neg_inf", "nan_nan"])
-    def test_non_finite_gains_rejected(self, bad, at):
-        # A NaN y decides bit 0, so such gains would give a record with no warning.
-        gains = np.repeat(np.eye(8, dtype=np.complex128)[None], 6, axis=0)
-        gains[at:, 2, 5] = bad
-        with pytest.raises(ConfigurationError,
-                           match=f"^gains of realization {at} hold a non-finite entry$"):
-            run_point(TINY, SchemeMode.from_label("LZFP"), 20.0, gains=gains)
 
 
 class TestRunSweep:
