@@ -5,16 +5,17 @@ re-runs are byte-identical. Config files are flat key=value lines with `#`
 comments; command-line flags override file values. Only `sweep` and `point`
 import the harness, and numpy with it, once their configuration is built:
 `gaps`, `--help`, `--version` and every configuration error run without it.
+The standard-library modules that building a config does not need are
+imported where they are used: `argparse` by the first parser, `csv` by the
+table readers and writers and `json` by the run log.
 Nothing here calls numpy or sets its error state, so a run warns exactly as
 the same library call would.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
-import json
+import functools
 import math
 import sys
 from pathlib import Path
@@ -94,7 +95,11 @@ def read_config_file(path: str | Path) -> dict:
 
 
 def build_config(values: dict) -> SimulationConfig:
-    """SimulationConfig from parsed key=value pairs, defaults for the rest."""
+    """SimulationConfig from parsed key=value pairs, defaults for the rest.
+
+    `values` is left as it was given, so one parsed file builds the same config twice.
+    """
+    values = dict(values)
     weights = {w: float(values.pop(w)) for w in ("u", "m") if w in values}
     labels = values.pop("schemes", LABELS)
     schemes = tuple(SchemeMode.from_label(lbl, **weights) for lbl in labels)
@@ -121,6 +126,8 @@ def result_row(r: BerRecord) -> list:
 
 def emit_table(table: BerTable, path: str | Path, gaps_path: str | Path) -> None:
     """Write the result CSV and the pairwise-gap CSV."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_HEADER)
@@ -130,6 +137,8 @@ def emit_table(table: BerTable, path: str | Path, gaps_path: str | Path) -> None
 
 def write_gaps(fh, records, snrs) -> None:
     """Gap CSV over GAP_PAIRS at each SNR; pairs with a missing record are skipped."""
+    import csv
+
     by_key = {(r.scheme_label, r.snr_db): r for r in records}
     writer = csv.writer(fh)
     writer.writerow(["snr_db", "scheme_a", "scheme_b", "gap"])
@@ -148,6 +157,8 @@ def emit_gaps(table: BerTable, path: str | Path) -> None:
 
 def emit_plot_data(table: BerTable, path: str | Path) -> None:
     """Long-format BER-vs-SNR series, one row per (snr, scheme)."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         fh.write("# ber is best viewed on a log scale\n")
         writer = csv.writer(fh)
@@ -158,6 +169,8 @@ def emit_plot_data(table: BerTable, path: str | Path) -> None:
 
 def emit_run_log(table: BerTable, path: str | Path) -> None:
     """JSON-lines provenance log: full precision, one object per record."""
+    import json
+
     digest = table.config.digest()
     with open(path, "w") as fh:
         for r in table.records:
@@ -180,6 +193,8 @@ def read_table_csv(path: str | Path) -> list[BerRecord]:
     BerRecord; a row that does not, or cannot be parsed, is named by file and
     line.
     """
+    import csv  # before the try, whose `except csv.Error` needs it
+
     records = {}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -262,15 +277,22 @@ def _cmd_gaps(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
+@functools.cache
+def _parser_class() -> type:
+    """The ArgumentParser subclass, made on the first parser and kept for every later one."""
+    import argparse
 
-    def error(self, message):
-        raise ConfigurationError(f"{self.prog}: {message}")
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors are configuration errors (exit 1), not argparse's exit 2."""
+
+        def error(self, message):
+            raise ConfigurationError(f"{self.prog}: {message}")
+
+    return _Parser
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = _parser_class()(
         prog="ulpsim",
         description="Multi-user MIMO precoding BER simulator (ZF/MMSE/unified)",
     )

@@ -10,7 +10,6 @@ back, before any simulation module loads.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -200,7 +199,8 @@ class SimulationConfig:
         A scheme counts as [u, m]. The layout is not a field: one program
         draws in one layout, but a config's results differ between layouts.
         """
-        import hashlib  # here, not at the top: of all a config does, only this needs it
+        import hashlib  # here, not at the top: of all a config does, only this needs them
+        import json
 
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["schemes"] = [[s.u, s.m] for s in self.schemes]
@@ -273,12 +273,20 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
 
 def _snr_stream_key(snr_db: float, offset_db: float) -> int:
     """snr_key of a finite SNR whose largest noise draw, -N0 log1p(-u1) at u1 = 1 - 2**-53
-    or 53 ln2 N0, is finite (a noise variance N0 of 0 is the noiseless limit)."""
+    or 53 ln2 N0, is finite (a noise variance N0 of 0 is the noiseless limit), and whose
+    milli-dB key round(1000 * snr_db) is too."""
     try:
-        if math.isfinite(snr_db + offset_db) and (
-                snr_db_to_noise_variance(snr_db + offset_db) * (53 * math.log(2)) < math.inf):
-            return snr_key(snr_db)
+        drawable = math.isfinite(snr_db + offset_db) and (
+            snr_db_to_noise_variance(snr_db + offset_db) * (53 * math.log(2)) < math.inf)
     except OverflowError:
-        pass
-    raise ConfigurationError(f"SNR {snr_db} dB at offset {offset_db} dB must be finite, "
-                             f"with a noise variance N0 whose largest draw 53 ln2 N0 is finite")
+        drawable = False
+    if not drawable:
+        raise ConfigurationError(f"SNR {snr_db} dB at offset {offset_db} dB must be finite, "
+                                 f"with a noise variance N0 whose largest draw 53 ln2 N0 is "
+                                 f"finite")
+    try:
+        return snr_key(snr_db)
+    except OverflowError:
+        raise ConfigurationError(f"SNR {snr_db} dB at offset {offset_db} dB has a finite noise "
+                                 f"variance, but its milli-dB key round(1000 * snr_db) "
+                                 f"overflows") from None

@@ -69,6 +69,18 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError):
             cli.build_config(cli.read_config_file(path))
 
+    def test_build_leaves_its_values_unchanged(self, tmp_path):
+        # One parsed file built twice: the second build must not fall back to
+        # the default schemes and weights.
+        path = tmp_path / "run.cfg"
+        path.write_text("schemes = LMMSEP\nm = 2\nu = 3\n")
+        values = cli.read_config_file(path)
+        parsed = dict(values)
+        first = cli.build_config(values)
+        assert values == parsed
+        assert cli.build_config(values) == first
+        assert first.schemes == (SchemeMode.from_label("LMMSEP", m=2.0),)
+
 
 class TestSci:
     @pytest.mark.parametrize(
@@ -176,6 +188,14 @@ BAD_INPUTS = [
     (["point", "--scheme", "LZFP", "--point-snr", "20", "--snr-offset-db", "-3095"],
      "noise variance"),
     (["sweep", "--workers", "x"], "--workers: invalid int value: 'x'"),
+    # Above about 1.797e305 dB the noise draw is finite but the milli-dB key
+    # overflows; at -1e306 dB it is the noise draw that overflows.
+    (["point", "--scheme", "LZFP", "--point-snr", "1e306"],
+     "SNR 1e+306 dB at offset 0.0 dB has a finite noise variance, but its milli-dB key "
+     "round(1000 * snr_db) overflows"),
+    (["point", "--scheme", "LZFP", "--point-snr=-1e306"],
+     "SNR -1e+306 dB at offset 0.0 dB must be finite, with a noise variance N0 whose "
+     "largest draw 53 ln2 N0 is finite"),
 ]
 
 

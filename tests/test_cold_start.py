@@ -4,9 +4,10 @@ ulpsim needs numpy and the standard library only. numpy loads with the
 simulation modules, when a sweep or a point runs: importing ulpsim, building
 a config, `gaps`, `--help`, `--version` and every configuration error run
 without it. The process pool is imported by run_point with workers > 1, on
-first use. Inside the test session other modules (scipy.stats in
-test_randomness) may have loaded them already, so every check here runs in
-a new interpreter, with warnings as errors.
+first use, and argparse, csv, json and hashlib by the commands that use
+them. Inside the test session other modules (scipy.stats in test_randomness)
+may have loaded them already, so every check here runs in a new
+interpreter, with warnings as errors.
 """
 
 import importlib
@@ -85,6 +86,44 @@ def test_cli_runs_without_numpy(argv, status, tmp_path):
     if argv[0] == "gaps":
         assert lines[:-2] == ["snr_db,scheme_a,scheme_b,gap", "14.0,LZFP,LMMSEP,2.00e-2"]
     assert not (tmp_path / "out").exists()
+
+
+# Standard-library modules that each command imports where it uses them:
+# argparse to parse a command line, csv to read or write a table, json to
+# write the run log, hashlib to digest a config.
+ON_USE = ("argparse", "csv", "json", "hashlib")
+
+
+def test_bench_setup_loads_no_on_use_module(tmp_path):
+    # bench/run.py's set-up: a fresh interpreter imports ulpsim.cli and builds
+    # a validated config from a file.
+    config = tmp_path / "run.cfg"
+    config.write_text("realizations = 60\nsnr_db = 14, 20\n")
+    out = run_fresh(f"""import sys
+from ulpsim.cli import build_config, read_config_file
+build_config(read_config_file({str(config)!r}))
+print([m for m in {ON_USE!r} if m in sys.modules])
+""")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,status,absent", [
+    (["--version"], 0, ("csv", "json", "hashlib")),
+    (["--help"], 0, ("csv", "json", "hashlib")),
+    (["sweep", "--realizations", "0", "--out", "{out}"], 1, ("csv", "json", "hashlib")),
+    (["sweep", "--no-such-flag"], 1, ("csv", "json", "hashlib")),
+    (["gaps", "--table", "{table}"], 0, ("json",)),
+    # numpy itself imports hashlib, so point is held only to csv and json.
+    (["point", "--scheme", "LZFP", "--point-snr", "20", "--realizations", "2",
+      "--frames", "1", "--symbols", "5"], 0, ("csv", "json")),
+], ids=["version", "help", "bad_value", "usage", "gaps", "point"])
+def test_command_loads_only_what_it_runs(argv, status, absent, tmp_path):
+    table = tmp_path / "results.csv"
+    table.write_text("snr_db,scheme,u,m,bit_errors,bits_total\n"
+                     "14.0,LZFP,0.0,0.0,30,1000\n14.0,LMMSEP,0.0,1.0,10,1000\n")
+    argv = [arg.format(table=table, out=tmp_path / "out") for arg in argv]
+    lines = run_fresh(MAIN.format(modules=absent), *argv).splitlines()
+    assert lines[-2:] == [str(status), "[]"]
 
 
 # The module each public name has always been importable from; the config
